@@ -202,7 +202,20 @@ def _reduce(args) -> int:
     return 0
 
 
+_VERIFY_NEEDS = {
+    "orientation": ("input", "cert"),
+    "arrangement": ("input", "arrangement"),
+    "expression": ("input", "expr"),
+    "witness": ("input", "witness"),
+    "family": ("family",),
+}
+
+
 def _verify(args) -> int:
+    missing = [f"--{name}" for name in _VERIFY_NEEDS.get(args.type, ()) if getattr(args, name) is None]
+    if missing:
+        print(f"error: --type {args.type} needs {' and '.join(missing)}", file=sys.stderr)
+        return 2
     if args.type == "orientation":
         g = parse_instance(_read(args.input))
         orientation = parse_orientation(_read(args.cert), g)
@@ -397,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, StructuralError, CapExceededError, FileNotFoundError) as exc:
+    except (GraphFormatError, StructuralError, CapExceededError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

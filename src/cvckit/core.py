@@ -362,6 +362,11 @@ def parse_instance(text: str) -> CapacitatedGraph:
         raise GraphFormatError(f"line {lineno}: non-integer header field") from None
     if n < 0 or m < 0 or (budget is not None and budget < 0):
         raise GraphFormatError(f"line {lineno}: negative header field")
+    if max(n, m) > len(lines) - 1:
+        raise GraphFormatError(
+            f"line {lineno}: header declares {n} vertices and {m} edges, "
+            f"but only {len(lines) - 1} records follow"
+        )
 
     caps = [None] * (n + 1)
     edges: list[Edge] = []

@@ -110,24 +110,6 @@ def cutwidth_of(g: CapacitatedGraph, arr: LinearArrangement) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CutSignature:
-    """Direction assignment for the edges crossing one cut.
-
-    bits[e] = 1 means the e-th crossing edge points left-to-right.
-    """
-
-    cut_index: int
-    edges: tuple[tuple[int, int], ...]
-    bits: tuple[int, ...]
-
-    @classmethod
-    def from_int(cls, cut_index: int, edges: Sequence[tuple[int, int]], value: int) -> "CutSignature":
-        k = len(edges)
-        bits = tuple((value >> (k - 1 - e)) & 1 for e in range(k))
-        return cls(cut_index, tuple(edges), bits)
-
-
 class DpLayer:
     """One DP table: every direction assignment of the cut's edges.
 
@@ -157,10 +139,6 @@ class DpLayer:
             bits = tuple((sig >> (k - 1 - e)) & 1 for e in range(k))
             out[bits] = INF if val < 0 else val
         return out
-
-    def value_of(self, sig: int) -> int | float:
-        v = self.values[sig]
-        return INF if v < 0 else v
 
 
 def _scatter_table(width: int, positions: Sequence[int]) -> list[int]:

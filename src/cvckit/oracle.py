@@ -110,13 +110,37 @@ def solve_exact(
     order, so the first feasible set yields both the optimum and a
     deterministic certificate.  Returns (inf, None) when no feasible
     orientation exists at all.
+
+    Before the flow call, each set must pass three necessary conditions,
+    checked on integer bitmasks: it covers every edge (no unselected
+    vertex has an unselected neighbour), its capacities sum to at least
+    the edge count, and no selected vertex has more neighbours outside
+    the set than its capacity (those edges are forced onto it).  A set
+    that fails one of them has no feasible assignment, so the first set
+    that passes both the checks and the flow is the one plain enumeration
+    would return: the optimum and the certificate are unchanged.
     """
     if g.n > max_vertices:
         raise CapExceededError(f"solve_exact capped at {max_vertices} vertices, got {g.n}")
     g = normalize_capacities(g)
-    candidates = [v for v in g.vertices() if g.deg(v) >= 1 and g.capacity[v] >= 1]
+    caps = g.capacity
+    m = len(g.edges)
+    candidates = [v for v in g.vertices() if g.deg(v) >= 1 and caps[v] >= 1]
+    bit = [1 << v for v in range(g.n + 1)]
+    nbr = [0] * (g.n + 1)
+    for u, v in g.edges:
+        nbr[u] |= bit[v]
+        nbr[v] |= bit[u]
+    touched = [v for v in g.vertices() if nbr[v]]
     for size in range(0, len(candidates) + 1):
         for sel in combinations(candidates, size):
+            if sum(map(caps.__getitem__, sel)) < m:
+                continue
+            mask = sum(map(bit.__getitem__, sel))
+            if any(nbr[v] & ~mask for v in touched if not mask & bit[v]):
+                continue  # an edge with no selected endpoint
+            if any((nbr[v] & ~mask).bit_count() > caps[v] for v in sel):
+                continue  # more forced edges than capacity
             o = assign_edges(g, sel)
             if o is not None:
                 return size, o

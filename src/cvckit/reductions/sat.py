@@ -57,7 +57,10 @@ def parse_dimacs(text: str) -> Cnf1in3:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise GraphFormatError(f"line {lineno}: expected 'p cnf <n> <m>'")
-            num_vars, declared = int(parts[2]), int(parts[3])
+            try:
+                num_vars, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer header field") from None
             continue
         if num_vars is None:
             raise GraphFormatError(f"line {lineno}: clause before header")

@@ -58,6 +58,33 @@ def test_solve_config_error(tmp_path, capsys):
     assert main(["solve", "--input", inp, "--algo", "pruned"]) == 2
 
 
+def assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_reduce_bad_dimacs_header(tmp_path, capsys):
+    src = put(tmp_path, "f.cnf", "p cnf x 1\n1 2 3 0\n")
+    assert_config_error(["reduce", "--type", "sat-cw", "--input", src,
+                         "--output", str(tmp_path / "cw")], capsys)
+
+
+def test_verify_orientation_needs_cert(tmp_path, capsys):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    assert_config_error(["verify", "--type", "orientation", "--input", inp], capsys)
+
+
+def test_solve_input_is_directory(tmp_path, capsys):
+    assert_config_error(["solve", "--input", str(tmp_path)], capsys)
+
+
+def test_solve_input_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.cvc"
+    path.write_bytes(b"cvc 1 0\nv 1 \xff\n")
+    assert_config_error(["solve", "--input", str(path)], capsys)
+
+
 def test_solve_parse_error(tmp_path, capsys):
     inp = put(tmp_path, "bad.cvc", "cvc 1 1\nv 1 1\ne 1 1\n")
     assert main(["solve", "--input", inp, "--algo", "oracle"]) == 2

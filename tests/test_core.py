@@ -176,6 +176,13 @@ def test_parse_reports_line_numbers():
         parse_instance("cvc 2 1\nv 1 1\nv 2 1\ne 2 2\n")
 
 
+def test_parse_rejects_header_larger_than_content():
+    with pytest.raises(GraphFormatError, match="only 0 records"):
+        parse_instance("cvc 10000000000 0\n")
+    with pytest.raises(GraphFormatError, match="only 2 records"):
+        parse_instance("cvc 2 5\nv 1 1\nv 2 1\n")
+
+
 def test_instance_roundtrip_with_budget():
     g = graph(3, [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 0}, budget=2)
     assert parse_instance(format_instance(g)) == g

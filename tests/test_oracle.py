@@ -1,14 +1,19 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+from cvckit import oracle
 from cvckit.core import (
     CapacitatedGraph,
     CapExceededError,
     StructuralError,
+    assign_edges,
+    normalize_capacities,
     verify_orientation,
 )
+from cvckit.generators import gnp
 from cvckit.oracle import (
     ChoiceGroups,
     format_choice_groups,
@@ -85,6 +90,36 @@ def test_exact_monotone_under_capacity_increase():
         g = random_graph(rng, rng.randint(2, 6), 0.5)
         bigger = g.with_capacity([c + 1 for c in g.capacity])
         assert solve_exact(bigger)[0] <= solve_exact(g)[0]
+
+
+def test_exact_filters_sets_before_flow(monkeypatch):
+    calls = []
+
+    def counting(g, sel):
+        calls.append(sel)
+        return assign_edges(g, sel)
+
+    monkeypatch.setattr(oracle, "assign_edges", counting)
+    assert solve_exact(gnp(16, 0.3, 3))[0] == 12
+    assert len(calls) <= 10
+
+
+def reference_exact(g):
+    g = normalize_capacities(g)
+    candidates = [v for v in g.vertices() if g.deg(v) >= 1 and g.capacity[v] >= 1]
+    for size in range(len(candidates) + 1):
+        for sel in combinations(candidates, size):
+            o = assign_edges(g, sel)
+            if o is not None:
+                return size, o
+    return math.inf, None
+
+
+def test_exact_certificate_matches_plain_enumeration():
+    rng = random.Random(7)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.4, 0.7]))
+        assert solve_exact(g) == reference_exact(g)
 
 
 # --- solve_pruned ----------------------------------------------------------
