@@ -74,11 +74,24 @@ def _load_arrangement(g: CapacitatedGraph, args) -> LinearArrangement:
     return find_arrangement(g, mode)
 
 
+def _certificate_holds(g: CapacitatedGraph, cert, minsize, k) -> bool:
+    """True iff ``cert`` is a feasible orientation of ``g`` whose size is the
+    reported optimum, or at most ``k`` for a decision."""
+    try:
+        report = verify_orientation(g, cert)
+    except StructuralError:
+        return False
+    if not report.feasible:
+        return False
+    return report.size == minsize if minsize is not None else report.size <= k
+
+
 def _solve(args) -> int:
     g = parse_instance(_read(args.input))
     k = args.k if args.k is not None else g.budget
     algo = args.algo
 
+    arr = None  # the heuristic order `auto` routed on, reused by the cut DP
     if algo == "auto":
         if len(feedback_edge_set(g)) <= AUTO_FES_CAP:
             algo = "fes"
@@ -86,8 +99,6 @@ def _solve(args) -> int:
             arr = find_arrangement(g, "heuristic")
             if cutwidth_of(g, arr) <= AUTO_CUTDP_CAP:
                 algo = "cutdp"
-                if not args.arrangement and not args.find_arrangement:
-                    args.find_arrangement = "heuristic"
             elif g.n <= AUTO_ORACLE_CAP:
                 algo = "oracle"
             else:
@@ -102,7 +113,8 @@ def _solve(args) -> int:
     elif algo == "fes":
         minsize, cert = solve_fes(g)
     elif algo == "cutdp":
-        arr = _load_arrangement(g, args)
+        if arr is None or args.arrangement or args.find_arrangement:
+            arr = _load_arrangement(g, args)
         minsize, cert = solve_cutdp(g, arr)
     elif algo == "vi":
         modulator = parse_modulator(_read(args.modulator)) if args.modulator else None
@@ -129,6 +141,9 @@ def _solve(args) -> int:
         decision = minsize is not None and minsize <= k
 
     if args.cert_out and cert is not None:
+        if not _certificate_holds(g, cert, minsize, k):
+            print("error: certificate failed verification", file=sys.stderr)
+            return 2
         _write(args.cert_out, format_orientation(cert))
 
     payload = {"command": "solve", "algo": algo, "input": args.input, "k": k}

@@ -65,31 +65,21 @@ class ForestInstance:
         return p
 
 
-def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
-    """Exact minimum orientation size of a forest instance.
+def _root_forest(n: int, forest_edges) -> tuple[list[int], list[int], list[list[int]], list[int]]:
+    """Root every component at its smallest id and walk it depth-first.
 
-    Trees are rooted at the smallest id per component and evaluated leaf to
-    root.  At each vertex the state is whether the parent edge points in;
-    the best set of inward child edges is a prefix of the children sorted
-    by cost delta (flipping a child edge inward changes the subtree cost by
-    f(child, outward-parent) - f(child, inward-parent); for a fixed count,
-    picking the smallest deltas is optimal by exchange).
+    Neighbours are pushed in sorted order.  Returns ``(roots, parent,
+    children, order)``: ``parent[root]`` is 0 and ``order`` lists every
+    vertex after its parent, so ``reversed(order)`` is leaf to root.
     """
-    g = fi.graph
-    n = g.n
-    preload = fi.preload()
-    cap = g.capacity
-    if any(preload[v] > cap[v] for v in range(1, n + 1)):
-        return INF, None
-
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    parent_of = [0] * (n + 1)
-    roots = []
-    seen = [False] * (n + 1)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in fi.forest_edges:
+    for u, v in forest_edges:
         adj[u].append(v)
         adj[v].append(u)
+    parent = [0] * (n + 1)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    seen = [False] * (n + 1)
+    roots = []
     order = []
     for root in range(1, n + 1):
         if seen[root]:
@@ -103,58 +93,90 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
             for w in sorted(adj[v]):
                 if not seen[w]:
                     seen[w] = True
-                    parent_of[w] = v
+                    parent[w] = v
                     children[v].append(w)
                     stack.append(w)
+    return roots, parent, children, order
 
-    # f[v] = (cost with parent arc outward, cost with parent arc inward)
-    f: list[tuple[int | float, int | float]] = [(0, 0)] * (n + 1)
-    plan: dict[tuple[int, int], tuple[int, ...]] = {}  # (v, pin) -> children taken inward
 
-    def solve_vertex(v: int, pin: int) -> int | float:
-        room = cap[v] - pin - preload[v]
-        if room < 0:
-            plan[(v, pin)] = ()
-            return INF
-        base = 0
-        forced_in: list[int] = []  # child edge must point toward v
-        flippable: list[tuple[int, int]] = []  # (cost delta when flipped inward, child)
-        for c in children[v]:
-            up, down = f[c]  # up: edge toward v (child pin 0); down: edge into child
-            if down == INF and up == INF:
-                plan[(v, pin)] = ()
-                return INF
-            if down == INF:
-                forced_in.append(c)
-                base += up
-            elif up == INF:
-                base += down  # flipping is impossible, keep the edge downward
-            else:
-                base += down
-                flippable.append((up - down, c))
-        if len(forced_in) > room:
-            plan[(v, pin)] = ()
-            return INF
-        flippable.sort()
+_DEAD = ((INF, ()), (INF, ()))  # a child subtree that fits neither way
+
+
+def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, tuple]:
+    """Tree DP at one vertex, for its parent arc outward (pin 0) and inward (pin 1).
+
+    ``room`` is cap(v) - preload(v), ``loaded`` says whether preload(v) > 0,
+    and ``f[c]`` holds each child's (cost with its parent arc outward, cost
+    with it inward).  Returns ``(cost, inward children)`` per pin.  The best
+    set of inward child edges is the forced ones plus a prefix of the
+    others sorted by cost delta: flipping a child edge inward changes the
+    subtree cost by f(child, outward) - f(child, inward), and for a fixed
+    count the smallest deltas are optimal by exchange.
+    """
+    base = 0
+    forced: list[int] = []  # child edge must point toward v
+    flippable: list[tuple[int, int]] = []  # (cost delta when flipped inward, child)
+    for c in kids:
+        up, down = f[c]  # up: edge toward v (child pin 0); down: edge into child
+        if down == INF:
+            if up == INF:
+                return _DEAD
+            forced.append(c)
+            base += up
+        elif up == INF:
+            base += down  # flipping is impossible, keep the edge downward
+        else:
+            base += down
+            flippable.append((up - down, c))
+    flippable.sort()
+    out = []
+    for pin in (0, 1):
+        free = room - pin - len(forced)
+        if free < 0:
+            out.append((INF, ()))
+            continue
+        occupied = loaded or pin + len(forced) > 0
         best: int | float = INF
-        best_take = tuple(forced_in)
-        running = 0
-        for extra in range(0, min(len(flippable), room - len(forced_in)) + 1):
+        best_extra = 0
+        running = base
+        for extra in range(min(len(flippable), free) + 1):
             if extra > 0:
                 running += flippable[extra - 1][0]
-            occupied = len(forced_in) + extra + pin + preload[v]
-            total = base + running + (1 if occupied > 0 else 0)
+            total = running + (1 if occupied or extra > 0 else 0)
             if total < best:
-                best = total
-                best_take = tuple(forced_in) + tuple(c for _, c in flippable[:extra])
-        plan[(v, pin)] = best_take
-        return best
+                best, best_extra = total, extra
+        out.append((best, tuple(forced) + tuple(c for _, c in flippable[:best_extra])))
+    return out[0], out[1]
 
+
+def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
+    """Exact minimum orientation size of a forest instance.
+
+    Trees are rooted at the smallest id per component and evaluated leaf to
+    root.  At each vertex the state is whether the parent edge points in;
+    ``_vertex_values`` picks the inward child edges by the sorted-prefix rule.
+    """
+    g = fi.graph
+    n = g.n
+    preload = fi.preload()
+    cap = g.capacity
+    if any(preload[v] > cap[v] for v in range(1, n + 1)):
+        return INF, None
+
+    roots, _, children, order = _root_forest(n, fi.forest_edges)
+    # f[v] = (cost with parent arc outward, cost with parent arc inward)
+    f: list[tuple[int | float, int | float]] = [(0, 0)] * (n + 1)
+    # plan[v] = (children taken inward when the parent arc is outward, ... inward)
+    plan: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * (n + 1)
     for v in reversed(order):
-        f[v] = (solve_vertex(v, 0), solve_vertex(v, 1))
+        (out_cost, out_take), (in_cost, in_take) = _vertex_values(
+            cap[v] - preload[v], preload[v] > 0, children[v], f
+        )
+        f[v] = (out_cost, in_cost)
+        plan[v] = (out_take, in_take)
 
     total = sum(f[r][0] for r in roots)
-    if total == INF or math.isinf(total):
+    if math.isinf(total):
         return INF, None
 
     heads = {e: head for e, head in fi.forced_arcs}
@@ -162,7 +184,7 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
         stack = [(r, 0)]
         while stack:
             v, pin = stack.pop()
-            inward = set(plan[(v, pin)])
+            inward = set(plan[v][pin])
             for c in children[v]:
                 e = (v, c) if v < c else (c, v)
                 if c in inward:
@@ -177,44 +199,88 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
 def solve_fes(
     g: CapacitatedGraph, *, fes_cap: int = DEFAULT_FES_CAP
 ) -> tuple[int | float, Orientation | None]:
-    """Minimum orientation size via 2^fes guesses over the non-forest arcs.
+    """Minimum orientation size via depth-first guesses over the non-forest arcs.
 
-    Guesses are explored depth-first with two prunes: a preload exceeding
-    a capacity kills the branch, and the count of preloaded vertices lower-
-    bounds the final size.
+    The spanning forest is rooted once.  Each guess turns one non-forest
+    edge into a preload on its head (``u`` before ``v``; a preload above
+    the head's capacity kills the branch).  The tree DP values
+    ``f[v] = (cost with parent arc outward, cost with it inward)`` are
+    kept for the current partial preload: a new preload recomputes ``f``
+    only from its head up toward the root, stopping at the first value
+    that does not change, and backtracking restores the old values.
+
+    Every node of the guess tree is pruned when ``Σ f[root][0] ≥ best``.
+    That sum is the forest optimum under the partial preload, and it is a
+    lower bound for every leaf below: the remaining guesses only add
+    preload, and an orientation valid under a larger preload is valid
+    under a smaller one with a subset of the occupied vertices.  A leaf
+    that survives the prune improves on ``best``; only then is
+    ``forest_dp`` called to build its certificate.  The first leaf in
+    guess order that reaches the optimum is always visited, so the result
+    equals that of evaluating every leaf in order.
     """
     g = normalize_capacities(g)
     extra = feedback_edge_set(g)
     if len(extra) > fes_cap:
         raise CapExceededError(f"feedback edge set {len(extra)} above cap {fes_cap}")
-    forest = tuple(e for e in g.edges if e not in set(extra))
+    extra_set = set(extra)
+    forest = tuple(e for e in g.edges if e not in extra_set)
     cap = g.capacity
+    roots, parent, children, order = _root_forest(g.n, forest)
+
+    preload = [0] * (g.n + 1)
+    f: list[tuple[int | float, int | float]] = [(0, 0)] * (g.n + 1)
+    undo: list[tuple[int, tuple[int | float, int | float]]] = []
+
+    def evaluate(v: int) -> tuple[int | float, int | float]:
+        (out_cost, _), (in_cost, _) = _vertex_values(
+            cap[v] - preload[v], preload[v] > 0, children[v], f
+        )
+        return out_cost, in_cost
+
+    for v in reversed(order):
+        f[v] = evaluate(v)
+
+    def add_preload(head: int, bound: int | float) -> int | float:
+        """Preload ``head`` once, update its root path, return the new bound."""
+        preload[head] += 1
+        v = head
+        while v:
+            new = evaluate(v)
+            old = f[v]
+            if new == old:
+                break
+            undo.append((v, old))
+            f[v] = new
+            if not parent[v]:
+                bound += new[0] - old[0]
+            v = parent[v]
+        return bound
+
+    def remove_preload(head: int, mark: int) -> None:
+        while len(undo) > mark:
+            v, old = undo.pop()
+            f[v] = old
+        preload[head] -= 1
 
     best: int | float = INF
     best_cert: Orientation | None = None
-    preload = [0] * (g.n + 1)
 
-    def positive_count() -> int:
-        return sum(1 for v in range(1, g.n + 1) if preload[v] > 0)
-
-    def rec(i: int, chosen: list[int]):
+    def rec(i: int, chosen: list[int], bound: int | float):
         nonlocal best, best_cert
-        if positive_count() >= best:
+        if bound >= best:
             return
         if i == len(extra):
-            fi = ForestInstance(g, forest, tuple(zip(extra, chosen)))
-            value, cert = forest_dp(fi)
-            if value < best:
-                best, best_cert = value, cert
+            best, best_cert = forest_dp(ForestInstance(g, forest, tuple(zip(extra, chosen))))
             return
         u, v = extra[i]
         for head in (u, v):
             if preload[head] + 1 <= cap[head]:
-                preload[head] += 1
+                mark = len(undo)
                 chosen.append(head)
-                rec(i + 1, chosen)
+                rec(i + 1, chosen, add_preload(head, bound))
                 chosen.pop()
-                preload[head] -= 1
+                remove_preload(head, mark)
 
-    rec(0, [])
+    rec(0, [], sum(f[r][0] for r in roots))
     return best, best_cert

@@ -1,8 +1,10 @@
 import json
 
+import cvckit.cli as cli
 from cvckit.cli import main
-from cvckit.core import parse_instance, parse_orientation, verify_orientation
+from cvckit.core import Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
 from cvckit.fes import feedback_edge_set
+from cvckit.generators import layered_with_ctw
 
 TRIANGLE = "cvc 3 3\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 K2 = "cvc 2 1\nv 1 1\nv 2 1\ne 1 2\n"
@@ -43,6 +45,39 @@ def test_solve_writes_certificate(tmp_path, capsys):
     g = parse_instance(TRIANGLE)
     orientation = parse_orientation(cert.read_text(), g)
     assert verify_orientation(g, orientation).feasible
+
+
+def test_solve_refuses_unverified_certificate(tmp_path, capsys, monkeypatch):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    cert = tmp_path / "t.cert"
+    argv = ["solve", "--input", inp, "--algo", "fes", "--cert-out", str(cert)]
+    over_capacity = Orientation({(1, 2): 1, (1, 3): 1, (2, 3): 2})  # vertex 1 takes 2 > cap 1
+    valid = Orientation({(1, 2): 2, (1, 3): 1, (2, 3): 3})  # size 3, not the claimed 2
+    for claimed in [(3, over_capacity), (2, valid)]:
+        monkeypatch.setattr(cli, "solve_fes", lambda g, claimed=claimed: claimed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: certificate failed verification" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not cert.exists()
+
+
+def test_auto_searches_arrangement_once(tmp_path, capsys, monkeypatch):
+    g = layered_with_ctw(30, 4, 0, extra=20)
+    assert len(feedback_edge_set(g)) > cli.AUTO_FES_CAP
+    inp = put(tmp_path, "l.cvc", format_instance(g))
+    report = tmp_path / "r.json"
+    modes = []
+    real = cli.find_arrangement
+
+    def counted(graph, mode):
+        modes.append(mode)
+        return real(graph, mode)
+
+    monkeypatch.setattr(cli, "find_arrangement", counted)
+    assert main(["solve", "--input", inp, "--algo", "auto", "--json", str(report)]) == 0
+    assert modes == ["heuristic"]
+    assert json.loads(report.read_text())["algo"] == "cutdp"
 
 
 def test_solve_json_report(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from cvckit.core import CapacitatedGraph, CapExceededError, verify_orientation
+import cvckit.fes as fes_module
+from cvckit.core import CapacitatedGraph, CapExceededError, normalize_capacities, verify_orientation
 from cvckit.fes import ForestInstance, feedback_edge_set, forest_dp, solve_fes
+from cvckit.generators import sparse_with_fes
 from cvckit.oracle import solve_exact
 from bruteforce import brute_forest_min, brute_min_orientation
 
@@ -205,3 +208,74 @@ def test_greedy_prefix_equals_exhaustive_per_node():
             continue
         fi = ForestInstance(g, g.edges, ())
         assert forest_dp(fi)[0] == forest_dp_exhaustive(g)
+
+
+# --- incremental guessing ----------------------------------------------------
+
+def test_solve_fes_builds_few_forest_dps(monkeypatch):
+    # the DP bound prunes almost every leaf; forest_dp runs only for improving ones
+    calls = []
+    real = fes_module.forest_dp
+
+    def counted(fi):
+        calls.append(fi)
+        return real(fi)
+
+    monkeypatch.setattr(fes_module, "forest_dp", counted)
+    g = sparse_with_fes(60, 14, 1)
+    value, cert = solve_fes(g)
+    assert value == 33 and verify_orientation(g, cert).size == 33
+    assert 1 <= len(calls) <= 64
+
+
+def _every_leaf_fes(g):
+    """Plain reference: forest_dp on every leaf in guess order, first strict
+    improvement kept."""
+    g = normalize_capacities(g)
+    extra = feedback_edge_set(g)
+    forest = tuple(e for e in g.edges if e not in extra)
+    best, best_cert = math.inf, None
+    for chosen in itertools.product(*extra):  # depth-first, u before v
+        preload = [0] * (g.n + 1)
+        for head in chosen:
+            preload[head] += 1
+        if any(preload[v] > g.capacity[v] for v in range(1, g.n + 1)):
+            continue
+        value, cert = forest_dp(ForestInstance(g, forest, tuple(zip(extra, chosen))))
+        if value < best:
+            best, best_cert = value, cert
+    return best, best_cert
+
+
+def test_solve_fes_identical_to_every_leaf_reference():
+    rng = random.Random(77)
+    checked = 0
+    for seed in range(48):
+        if seed % 2:
+            g = sparse_with_fes(10 + seed % 11, seed % 9, seed)
+        else:
+            n = rng.randint(3, 9)
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+            g = CapacitatedGraph.build(n, edges, {v: 0 for v in range(1, n + 1)})
+            g = CapacitatedGraph.build(n, edges, {v: rng.randint(0, max(g.deg(v), 1)) for v in range(1, n + 1)})
+        if len(feedback_edge_set(g)) > 8:
+            continue
+        checked += 1
+        want, want_cert = _every_leaf_fes(g)
+        got, got_cert = solve_fes(g)
+        assert got == want
+        assert (got_cert is None) == (want_cert is None)
+        if got_cert is not None:
+            assert got_cert.heads == want_cert.heads
+    assert checked >= 40
+
+
+def test_forest_optimum_is_monotone_in_preload():
+    # the premise of the DP-value prune, checked by raw enumeration
+    rng = random.Random(91)
+    for _ in range(120):
+        g = random_forest(rng, rng.randint(2, 8))
+        preload = [0] + [rng.choice((0, 0, 1)) for _ in range(g.n)]
+        grown = list(preload)
+        grown[rng.randint(1, g.n)] += 1
+        assert brute_forest_min(g, preload) <= brute_forest_min(g, grown)
