@@ -4,7 +4,10 @@ A problem instance is a simple undirected graph with one non-negative
 capacity per vertex and an optional decision budget.  Solvers work on the
 orientation view: every edge is directed toward the endpoint that covers
 it, a vertex may receive at most its capacity, and the objective counts
-vertices with positive in-degree.
+vertices with positive in-degree.  The reference solvers in ``oracle``
+ask whether the edges fit into a chosen vertex set (``orient_into``):
+edges with one chosen endpoint are folded onto it, and the rest are
+placed by augmenting paths.
 
 All objects here are immutable after construction and every operation is
 a pure function of its inputs, so instances can be shared freely across
@@ -13,7 +16,6 @@ threads or worker processes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -199,82 +201,74 @@ def verify_orientation(g: CapacitatedGraph, orientation: Orientation) -> FeasRep
     return FeasReport(not violations, size, violations)
 
 
-class _Dinic:
-    """Unit-style max flow on a small static network, deterministic."""
+def _fold(
+    edges: Sequence[Edge],
+    capacity: Sequence[int],
+    selected: frozenset[int] | set[int],
+) -> tuple[list[Edge], dict[int, int]] | None:
+    """Settle every edge that does not have both endpoints in ``selected``.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[int] = []
-        self.nxt: list[int] = []
-        self.cap: list[int] = []
-        self.first = [-1] * n
+    An edge with one selected endpoint can only point there, so it is
+    charged to that endpoint's capacity.  Returns (core, room): the edges
+    with both endpoints selected, and each selected vertex's capacity left
+    after the charges.  None when an edge has no selected endpoint or the
+    charges exceed a capacity.
+    """
+    room = {v: capacity[v] for v in selected}
+    core = []
+    for e in edges:
+        u, v = e
+        if u in room:
+            if v in room:
+                core.append(e)
+                continue
+            w = u
+        elif v in room:
+            w = v
+        else:
+            return None
+        room[w] -= 1
+        if room[w] < 0:
+            return None
+    return core, room
 
-    def add(self, u: int, v: int, c: int) -> int:
-        idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(c)
-        self.nxt.append(self.first[u])
-        self.first[u] = idx
-        self.head.append(u)
-        self.cap.append(0)
-        self.nxt.append(self.first[v])
-        self.first[v] = idx + 1
-        return idx
 
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        n = self.n
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                e = self.first[u]
-                while e != -1:
-                    v = self.head[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-                    e = self.nxt[e]
-            if level[t] < 0:
-                return flow
-            it = list(self.first)
-            # iterative blocking-flow DFS
-            stack = [s]
-            path: list[int] = []
-            while stack:
-                u = stack[-1]
-                if u == t:
-                    aug = min(self.cap[e] for e in path)
-                    for e in path:
-                        self.cap[e] -= aug
-                        self.cap[e ^ 1] += aug
-                    flow += aug
-                    # retreat to the first saturated arc
-                    for i, e in enumerate(path):
-                        if self.cap[e] == 0:
-                            del stack[i + 1 :]
-                            del path[i:]
-                            break
-                    continue
-                e = it[u]
-                advanced = False
-                while e != -1:
-                    v = self.head[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        it[u] = e
-                        stack.append(v)
-                        path.append(e)
-                        advanced = True
-                        break
-                    e = self.nxt[e]
-                if not advanced:
-                    it[u] = -1
-                    level[u] = -1
-                    stack.pop()
-                    if path:
-                        path.pop()
+def _augment(edges: Sequence[Edge], room: dict[int, int]) -> list[int] | None:
+    """One head per edge such that vertex v receives at most ``room[v]``
+    edges, or None when no such choice exists.  Uses up ``room``.
+
+    Each edge goes to a vertex with room, found by a BFS from its two
+    endpoints (the one with more room first) that walks placed edges
+    backwards, from their head to their other endpoint; the edges on the
+    path are flipped.  That is an augmenting path of the edge -> vertex
+    flow network, and all earlier edges are placed, so an edge without one
+    proves that not every edge fits.
+    """
+    heads: list[int] = []
+    placed: dict[int, list[int]] = {}  # vertex -> indices of placed edges touching it
+    for i, (u, v) in enumerate(edges):
+        via: dict[int, tuple[int, int] | None] = {u: None, v: None}
+        queue = [u, v] if room[u] >= room[v] else [v, u]
+        for x in queue:
+            if room[x] > 0:
+                break
+            for j in placed.get(x, ()):
+                a, b = edges[j]
+                y = b if a == x else a
+                if heads[j] == x and y not in via:
+                    via[y] = (j, x)
+                    queue.append(y)
+        else:
+            return None
+        room[x] -= 1
+        while via[x] is not None:
+            j, y = via[x]
+            heads[j] = x
+            x = y
+        heads.append(x)
+        placed.setdefault(u, []).append(i)
+        placed.setdefault(v, []).append(i)
+    return heads
 
 
 def orient_into(
@@ -284,38 +278,19 @@ def orient_into(
 ) -> dict[Edge, int] | None:
     """Assign each edge a head inside ``selected`` without exceeding capacities.
 
-    Flow network: source -> one node per edge (cap 1), edge -> each of its
-    endpoints that lies in ``selected`` (cap 1), vertex -> sink with the
-    vertex capacity.  Feasible iff the max flow saturates every edge.
-    Returns edge -> head, or None.
+    Edges with one selected endpoint are folded onto it (``_fold``); the
+    edges with both endpoints selected are placed by augmenting paths
+    (``_augment``).  Returns edge -> head, or None.
     """
-    m = len(edges)
-    if m == 0:
-        return {}
-    sel = sorted(selected)
-    vid = {v: m + 1 + i for i, v in enumerate(sel)}
-    source, sink = 0, m + 1 + len(sel)
-    net = _Dinic(sink + 1)
-    eout: list[list[tuple[int, int]]] = []  # per edge: (arc index, head vertex)
-    for i, (u, v) in enumerate(edges):
-        net.add(source, 1 + i, 1)
-        arcs = []
-        for w in (u, v):
-            if w in vid:
-                arcs.append((net.add(1 + i, vid[w], 1), w))
-        eout.append(arcs)
-    for v in sel:
-        c = capacity[v]
-        if c > 0:
-            net.add(vid[v], sink, c)
-    if net.max_flow(source, sink) < m:
+    folded = _fold(edges, capacity, selected)
+    if folded is None:
         return None
-    heads: dict[Edge, int] = {}
-    for i, (u, v) in enumerate(edges):
-        for arc, w in eout[i]:
-            if net.cap[arc] == 0:  # saturated: edge assigned to w
-                heads[(u, v)] = w
-                break
+    core, room = folded
+    core_heads = _augment(core, room)
+    if core_heads is None:
+        return None
+    heads = {e: e[0] if e[0] in selected else e[1] for e in edges}
+    heads.update(zip(core, core_heads))
     return heads
 
 

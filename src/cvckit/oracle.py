@@ -25,6 +25,7 @@ from .core import (
     GraphFormatError,
     Orientation,
     StructuralError,
+    _fold,
     assign_edges,
     normalize_capacities,
     orient_into,
@@ -111,14 +112,15 @@ def solve_exact(
     deterministic certificate.  Returns (inf, None) when no feasible
     orientation exists at all.
 
-    Before the flow call, each set must pass three necessary conditions,
-    checked on integer bitmasks: it covers every edge (no unselected
-    vertex has an unselected neighbour), its capacities sum to at least
-    the edge count, and no selected vertex has more neighbours outside
-    the set than its capacity (those edges are forced onto it).  A set
-    that fails one of them has no feasible assignment, so the first set
-    that passes both the checks and the flow is the one plain enumeration
-    would return: the optimum and the certificate are unchanged.
+    Before the assignment call, each set must pass three necessary
+    conditions, checked on integer bitmasks: it covers every edge (no
+    unselected vertex has an unselected neighbour), its capacities sum to
+    at least the edge count, and no selected vertex has more neighbours
+    outside the set than its capacity (those edges are forced onto it).
+    A set that fails one of them has no feasible assignment, so the first
+    set that passes both the checks and the assignment is the one plain
+    enumeration would return: the optimum and the certificate are
+    unchanged.
     """
     if g.n > max_vertices:
         raise CapExceededError(f"solve_exact capped at {max_vertices} vertices, got {g.n}")
@@ -249,40 +251,6 @@ def solve_pruned(
 # ---------------------------------------------------------------------------
 # canonical-space search
 
-def _fold_outside(g: CapacitatedGraph, candidates: set[int]):
-    """Fold never-selected vertices away.
-
-    Every edge leaving the candidate set must be oriented toward its
-    candidate endpoint, so it becomes a preload there.  Returns
-    (core_edges, preload) or None when some edge joins two non-candidates
-    and the canonical space cannot cover it.
-    """
-    preload = [0] * (g.n + 1)
-    core_edges = []
-    for u, v in g.edges:
-        cu, cv = u in candidates, v in candidates
-        if cu and cv:
-            core_edges.append((u, v))
-        elif cu:
-            preload[u] += 1
-        elif cv:
-            preload[v] += 1
-        else:
-            return None
-    return core_edges, preload
-
-
-def _core_feasible(core_edges, caps, preload, selected: frozenset[int]) -> bool:
-    for v in range(len(preload)):
-        if preload[v] > 0:
-            if v not in selected or preload[v] > caps[v]:
-                return False
-    adjusted = list(caps)
-    for v in selected:
-        adjusted[v] = caps[v] - preload[v]
-    return orient_into(core_edges, adjusted, selected) is not None
-
-
 def solve_canonical(
     g: CapacitatedGraph, meta: ChoiceGroups, k: int
 ) -> tuple[bool, Orientation | None]:
@@ -303,17 +271,17 @@ def solve_canonical(
     if len(meta.forced) + len(meta.groups) > k:
         return False, None
 
-    candidates = set(meta.members())
-    folded = _fold_outside(g, candidates)
+    # Edges leaving the metadata pools can only point at their pool end,
+    # so they are charged to it once; every search step then works on
+    # the edges inside the pools and the capacities left over.
+    folded = _fold(g.edges, g.capacity, meta.members())
     if folded is None:
         return False, None
-    core_edges, preload = folded
-    caps = g.capacity
-    required = {v for v in range(1, g.n + 1) if preload[v] > 0}
-    if any(preload[v] > caps[v] for v in required):
-        return False, None
-    if not required <= (set(meta.forced) | set(meta.free) | {v for grp in meta.groups for v in grp}):
-        return False, None
+    core_edges, room = folded
+    residual = list(g.capacity)
+    for v, r in room.items():
+        residual[v] = r
+    required = {v for v, r in room.items() if r < g.capacity[v]}
 
     groups: list[list[int]] = []
     for grp in meta.groups:
@@ -328,37 +296,37 @@ def solve_canonical(
     if budget_left < 0:
         return False, None
 
+    # Every required vertex is in ``base`` or is the only member left in
+    # its group, so each selection below contains all charged vertices.
     base = frozenset(meta.forced) | frozenset(free_required)
-    open_pool = [frozenset(grp) for grp in groups]
+    # still_open[d]: every vertex a selection may gain from depth d on
+    still_open = [frozenset(free_optional)]
+    for grp in reversed(groups):
+        still_open.append(still_open[-1] | frozenset(grp))
+    still_open.reverse()
 
-    def free_choices():
-        take = min(budget_left, len(free_optional))
-        # feasibility is monotone in the selection, so only maximal
-        # affordable free subsets need checking
-        if take == len(free_optional):
-            yield frozenset(free_optional)
+    def feasible(selection: frozenset[int]) -> bool:
+        return orient_into(core_edges, residual, selection) is not None
+
+    # feasibility is monotone in the selection, so only maximal
+    # affordable free subsets need checking
+    take = min(budget_left, len(free_optional))
+
+    # Depth-first over one member per group, first member first, with an
+    # explicit stack so that the depth is not bounded by the group count.
+    found = None
+    stack = [(0, base)]
+    while stack and found is None:
+        depth, chosen = stack.pop()
+        if not feasible(chosen | still_open[depth]):
+            continue
+        if depth < len(groups):
+            stack.extend((depth + 1, chosen | {member}) for member in reversed(groups[depth]))
         else:
             for combo in combinations(free_optional, take):
-                yield frozenset(combo)
-
-    def search(depth: int, chosen: frozenset[int]):
-        remaining = frozenset().union(*open_pool[depth:]) if depth < len(groups) else frozenset()
-        superset = chosen | remaining | frozenset(free_optional)
-        if not _core_feasible(core_edges, caps, preload, superset):
-            return None
-        if depth == len(groups):
-            for free_sel in free_choices():
-                final = chosen | free_sel
-                if _core_feasible(core_edges, caps, preload, final):
-                    return final
-            return None
-        for member in groups[depth]:
-            result = search(depth + 1, chosen | {member})
-            if result is not None:
-                return result
-        return None
-
-    found = search(0, base)
+                if feasible(chosen.union(combo)):
+                    found = chosen.union(combo)
+                    break
     if found is None:
         return False, None
     orientation = assign_edges(g, found)

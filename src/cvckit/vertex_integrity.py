@@ -141,9 +141,8 @@ def _selected_sets(g: CapacitatedGraph, modulator: Sequence[int]) -> Iterator[fr
     """Subsets of the modulator that touch every modulator-internal edge,
     ascending by size then lexicographically."""
     mod = sorted(modulator)
-    internal = [
-        (u, v) for u, v in g.edges if u in set(mod) and v in set(mod)
-    ]
+    in_mod = set(mod)
+    internal = [(u, v) for u, v in g.edges if u in in_mod and v in in_mod]
     for size in range(0, len(mod) + 1):
         for sel in combinations(mod, size):
             ssel = frozenset(sel)

@@ -248,6 +248,20 @@ def test_solve_canonical_via_meta_file(tmp_path, capsys):
     assert "FEASIBLE yes" in capsys.readouterr().out
 
 
+def test_solve_canonical_with_many_groups(tmp_path, capsys):
+    # a perfect matching with one group per edge: 1,200 levels of group choice
+    n = 2400
+    lines = [f"cvc {n} {n // 2}"] + [f"v {v} 1" for v in range(1, n + 1)]
+    lines += [f"e {2 * i - 1} {2 * i}" for i in range(1, n // 2 + 1)]
+    inp = put(tmp_path, "m.cvc", "\n".join(lines) + "\n")
+    meta = put(tmp_path, "m.meta", "".join(f"group {2 * i - 1} {2 * i}\n" for i in range(1, n // 2 + 1)))
+    code = main(["solve", "--input", inp, "--algo", "canonical", "--k", str(n // 2), "--meta", meta])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "FEASIBLE yes" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_solve_vi_decision(tmp_path, capsys):
     inp = put(tmp_path, "t.cvc", TRIANGLE)
     assert main(["solve", "--input", inp, "--algo", "vi", "--k", "3"]) == 0

@@ -143,6 +143,41 @@ def test_assign_matches_bruteforce_and_is_monotone():
             assert assign_edges(g, bigger) is not None
 
 
+def tight_graph(rng, n, m):
+    """Random graph whose capacities are the in-degrees of a random orientation."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = rng.sample(pairs, m)
+    caps = {v: 0 for v in range(1, n + 1)}
+    for e in edges:
+        caps[rng.choice(e)] += 1
+    return graph(n, edges, caps)
+
+
+def one_unit_less(rng, g):
+    caps = list(g.capacity)
+    caps[rng.choice([v for v in g.vertices() if caps[v] > 0])] -= 1
+    return g.with_capacity(caps)
+
+
+def test_assign_tight_capacities():
+    # capacities sum to exactly m, so edges placed first fill vertices that
+    # later edges need, and those must be moved along augmenting paths
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(8, 40)
+        g = tight_graph(rng, n, rng.randint(20, min(200, n * (n - 1) // 2)))
+        everyone = set(g.vertices())
+        o = assign_edges(g, everyone)
+        assert o is not None and verify_orientation(g, o).feasible
+        assert assign_edges(one_unit_less(rng, g), everyone) is None
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        g = tight_graph(rng, n, rng.randint(1, min(12, n * (n - 1) // 2)))
+        sel = {v for v in g.vertices() if rng.random() < 0.8}
+        for h in (g, one_unit_less(rng, g)):
+            assert (assign_edges(h, sel) is not None) == brute_assignable(h, sel)
+
+
 def test_assign_deterministic():
     g = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], {1: 2, 2: 1, 3: 2, 4: 1})
     assert assign_edges(g, {1, 3}) == assign_edges(g, {1, 3})

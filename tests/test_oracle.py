@@ -214,6 +214,18 @@ def test_canonical_folds_outside_vertices():
     assert cert.heads[(2, 3)] == 2
 
 
+def test_canonical_one_group_per_edge_of_a_long_matching():
+    # 1,200 groups: the group-choice search is deeper than the recursion limit
+    n = 2400
+    edges = [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
+    g = graph(n, edges, [1] * n)
+    meta = ChoiceGroups(frozenset(), tuple(frozenset(e) for e in edges), frozenset())
+    yes, cert = solve_canonical(g, meta, n // 2)
+    assert yes
+    rep = verify_orientation(g, cert)
+    assert rep.feasible and rep.size == n // 2
+
+
 # --- metadata files --------------------------------------------------------
 
 def test_choice_groups_roundtrip():
