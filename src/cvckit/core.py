@@ -58,8 +58,7 @@ class CapacitatedGraph:
     def __post_init__(self):
         if self.n < 0:
             raise StructuralError("vertex count must be non-negative")
-        if len(self.capacity) != self.n + 1:
-            raise StructuralError("capacity table must have one entry per vertex")
+        self._check_capacity()
         seen = set()
         prev = None
         for u, v in self.edges:
@@ -73,6 +72,10 @@ class CapacitatedGraph:
                 raise StructuralError("edges not in canonical order")
             seen.add((u, v))
             prev = (u, v)
+
+    def _check_capacity(self) -> None:
+        if len(self.capacity) != self.n + 1:
+            raise StructuralError("capacity table must have one entry per vertex")
 
     @classmethod
     def build(
@@ -124,7 +127,13 @@ class CapacitatedGraph:
         return range(1, self.n + 1)
 
     def with_capacity(self, capacity: Sequence[int]) -> "CapacitatedGraph":
-        return CapacitatedGraph(self.n, self.edges, tuple(capacity), self.budget)
+        """The same graph with new capacities.  The edges were checked when
+        this graph was built, so only the capacity table is checked here;
+        the cached adjacency, degrees and edge set carry over."""
+        g = object.__new__(CapacitatedGraph)
+        g.__dict__.update(self.__dict__, capacity=tuple(capacity))
+        g._check_capacity()
+        return g
 
     def with_budget(self, budget: int | None) -> "CapacitatedGraph":
         return CapacitatedGraph(self.n, self.edges, self.capacity, budget)

@@ -29,6 +29,7 @@ from .core import (
 
 INF = math.inf
 DEFAULT_MODULATOR_CAP = 18
+_CHUNK = 6  # mask bits per neighbourhood lookup table in compute_modulator
 
 
 @dataclass(frozen=True)
@@ -111,27 +112,65 @@ def compute_modulator(
 ) -> Modulator:
     """Minimum vertex integrity with a witnessing set, by exact search.
 
-    Tries deletion sets in increasing size; a set of size s can only beat
-    the incumbent when s + 1 is still smaller, since at least one vertex
-    remains outside.
+    Tries deletion sets in increasing size, each size in ``combinations``
+    order, and keeps the first set of the smallest value; a set of size s
+    can only beat the incumbent when s + 1 is still smaller, since at least
+    one vertex remains outside.  Vertex sets are bitmasks: components are
+    grown by looking up closed neighbourhoods per ``_CHUNK`` bits of the
+    mask, and a candidate is dropped as soon as one of its components is
+    large enough that it cannot beat the incumbent.
     """
     if g.n > exact_cap:
         raise CapExceededError(f"modulator search capped at {exact_cap} vertices, got {g.n}")
+    n = g.n
+    closed = [1 << i for i in range(n)]  # bit i stands for vertex i + 1
+    for u, v in g.edges:
+        closed[u - 1] |= 1 << (v - 1)
+        closed[v - 1] |= 1 << (u - 1)
+    # tables[c][x]: union of the closed neighbourhoods of the vertices whose
+    # bits are the x-th subset of chunk c
+    tables = []
+    for lo in range(0, n, _CHUNK):
+        table = [0] * (1 << min(_CHUNK, n - lo))
+        for x in range(1, len(table)):
+            low = x & -x
+            table[x] = table[x ^ low] | closed[lo + low.bit_length() - 1]
+        tables.append((lo, table))
+    chunk_mask = (1 << _CHUNK) - 1
 
-    def score(mod: tuple[int, ...]) -> int:
-        comps = components_outside(g, mod)
-        return len(mod) + max((len(c) for c in comps), default=0)
+    def largest_component(rest: int, limit: int) -> int:
+        """Order of the largest component of G[rest]; ``limit`` as soon as
+        a growing component reaches it."""
+        largest = 0
+        while rest and rest.bit_count() > largest:
+            comp = rest & -rest
+            while True:
+                grown = 0
+                for lo, table in tables:
+                    grown |= table[(comp >> lo) & chunk_mask]
+                grown &= rest
+                if grown == comp:
+                    break
+                comp = grown
+                if comp.bit_count() >= limit:
+                    return limit
+            largest = max(largest, comp.bit_count())
+            rest ^= comp
+        return largest
 
-    best_u: tuple[int, ...] = ()
-    best = score(())
-    for s in range(1, g.n + 1):
+    full = (1 << n) - 1
+    best = largest_component(full, n + 1)
+    best_cut = 0
+    bits = [1 << i for i in range(n)]
+    for s in range(1, n + 1):
         if s + 1 >= best:
             break
-        for cand in combinations(g.vertices(), s):
-            val = score(cand)
+        for cand in combinations(bits, s):
+            cut = sum(cand)
+            val = s + largest_component(full ^ cut, best - s)
             if val < best:
-                best, best_u = val, cand
-    return Modulator(tuple(best_u), best)
+                best, best_cut = val, cut
+    return Modulator(tuple(v for v in g.vertices() if best_cut >> (v - 1) & 1), best)
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +250,19 @@ def enumerate_guesses(g: CapacitatedGraph, modulator: Iterable[int]) -> Iterator
 # ---------------------------------------------------------------------------
 # component catalogs
 
-def _component_orientations(
-    g: CapacitatedGraph,
-    mod_order: Sequence[int],
-    selected: frozenset[int],
-    comp: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], int, dict[Edge, int]]]:
-    """Valid orientations of all edges touching one component.
+def _component_edges(
+    g: CapacitatedGraph, selected: frozenset[int], comp: Sequence[int]
+) -> tuple[list[tuple[Edge, int]], list[Edge]]:
+    """The edges touching one component, split into forced (edge, head)
+    pairs and free edges.
 
     Edges into unselected modulator vertices are forced toward the
     component; the rest (component-internal and to selected vertices) are
-    enumerated.  Yields (load on each modulator vertex, vertices of the
-    component with positive in-degree, edge heads).
+    free.
     """
     comp_set = set(comp)
-    mod_index = {u: i for i, u in enumerate(mod_order)}
-    cap = g.capacity
     forced: list[tuple[Edge, int]] = []
     free: list[Edge] = []
-    preload = {w: 0 for w in comp}
     for u, v in g.edges:
         inu, inv = u in comp_set, v in comp_set
         if not (inu or inv):
@@ -242,28 +275,76 @@ def _component_orientations(
             free.append((u, v))
         else:
             forced.append(((u, v), inside))
-            preload[inside] += 1
-    if any(preload[w] > cap[w] for w in comp):
+    return forced, free
+
+
+def _component_heads(
+    forced: Sequence[tuple[Edge, int]], free: Sequence[Edge], mask: int
+) -> dict[Edge, int]:
+    """The edge heads of one orientation: bit b of ``mask`` points free
+    edge b at its larger endpoint, a clear bit at its smaller one."""
+    heads = dict(forced)
+    for b, (u, v) in enumerate(free):
+        heads[(u, v)] = v if (mask >> b) & 1 else u
+    return heads
+
+
+def _component_orientations(
+    g: CapacitatedGraph,
+    mod_order: Sequence[int],
+    comp: Sequence[int],
+    forced: Sequence[tuple[Edge, int]],
+    free: Sequence[Edge],
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Valid orientations of all edges touching one component.
+
+    Walks the masks over ``free`` in increasing order.  Going from one mask
+    to the next flips only the bits that change (two on average), and each
+    flip moves one unit of in-degree between the edge's endpoints, keeping
+    count of the component vertices over capacity and of those with
+    positive in-degree.  Yields (load on each modulator vertex, vertices of
+    the component with positive in-degree, mask) for every mask that keeps
+    the component within capacity; ``_component_heads`` turns a mask into
+    edge heads.
+    """
+    c = len(comp)
+    # slots 0..c-1 are the component's vertices, c.. the modulator's
+    slot = {w: i for i, w in enumerate(comp)}
+    for i, u in enumerate(mod_order):
+        slot[u] = c + i
+    cap = [g.capacity[w] for w in comp]
+    indeg = [0] * (c + len(mod_order))
+    for _, head in forced:
+        indeg[slot[head]] += 1
+    if any(indeg[i] > cap[i] for i in range(c)):
         return
-    for mask in range(1 << len(free)):
-        heads = dict(forced)
-        indeg = dict(preload)
-        load = [0] * len(mod_order)
-        ok = True
-        for b, (u, v) in enumerate(free):
-            head = v if (mask >> b) & 1 else u
-            heads[(u, v)] = head
-            if head in comp_set:
-                indeg[head] += 1
-                if indeg[head] > cap[head]:
-                    ok = False
-                    break
-            else:
-                load[mod_index[head]] += 1
-        if not ok:
-            continue
-        gain = sum(1 for w in comp if indeg[w] > 0)
-        yield tuple(load), gain, heads
+    ends = [(slot[u], slot[v]) for u, v in free]
+    for lo, _ in ends:  # mask 0 points every free edge at its smaller endpoint
+        indeg[lo] += 1
+    over = sum(1 for i in range(c) if indeg[i] > cap[i])
+    positive = sum(1 for i in range(c) if indeg[i] > 0)
+    if not over:
+        yield tuple(indeg[c:]), positive, 0
+    # moves[t]: the (from, to) slot moves of a step whose lowest set bit is
+    # t; bits below t go from 1 to 0 and bit t from 0 to 1
+    moves = [[(hi, lo) for lo, hi in ends[:t]] + [ends[t]] for t in range(len(ends))]
+    for mask in range(1, 1 << len(free)):
+        for src, dst in moves[(mask & -mask).bit_length() - 1]:
+            if src < c:
+                d = indeg[src]
+                if d == cap[src] + 1:
+                    over -= 1
+                if d == 1:
+                    positive -= 1
+            indeg[src] -= 1
+            d = indeg[dst] = indeg[dst] + 1
+            if dst < c:
+                if d == cap[dst] + 1:
+                    over += 1
+                if d == 1:
+                    positive += 1
+        if not over:
+            yield tuple(indeg[c:]), positive, mask
 
 
 def component_catalog(
@@ -275,9 +356,10 @@ def component_catalog(
     mod = tuple(sorted(set(modulator)))
     comps = components_outside(g, mod)
     comp = comps[j]
+    forced, free = _component_edges(g, guess.selected, comp)
     options = tuple(
-        CatalogOption(load, gain, tuple(sorted(heads.items())))
-        for load, gain, heads in _component_orientations(g, mod, guess.selected, comp)
+        CatalogOption(load, gain, tuple(sorted(_component_heads(forced, free, mask).items())))
+        for load, gain, mask in _component_orientations(g, mod, comp, forced, free)
     )
     return ComponentCatalog(j, comp, mod, options)
 
@@ -301,7 +383,11 @@ def _block_select(
     budget: int | float | None = None,
 ) -> tuple[int | float, list[object] | None]:
     """Exact minimum total size gain, one option per block, loads bounded by
-    the residual vector.  Returns (value, chosen payloads) or (inf, None)."""
+    the residual vector.  Returns (value, chosen payloads) or (inf, None).
+
+    Each layer maps a residual state to (total gain, previous state,
+    payload); the payloads are read back once, from the best final state.
+    """
     width = len(residual)
     caps = list(residual)
     for i in range(width):
@@ -310,11 +396,12 @@ def _block_select(
     if any(c < 0 for c in caps):
         return INF, None
     limit = math.inf if budget is None else budget
-    start = tuple(caps)
-    states: dict[tuple[int, ...], tuple[int, tuple]] = {start: (0, ())}
+    states: dict[tuple[int, ...], tuple] = {tuple(caps): (0, None, None)}
+    layers: list[dict[tuple[int, ...], tuple]] = []
     for block in reduced:
-        nxt: dict[tuple[int, ...], tuple[int, tuple]] = {}
-        for state, (total, path) in sorted(states.items()):
+        nxt: dict[tuple[int, ...], tuple] = {}
+        for state in sorted(states):
+            total = states[state][0]
             for load, gain, payload in block:
                 new_total = total + gain
                 if new_total > limit:
@@ -331,12 +418,19 @@ def _block_select(
                 key = tuple(rem)
                 cur = nxt.get(key)
                 if cur is None or new_total < cur[0]:
-                    nxt[key] = (new_total, path + (payload,))
+                    nxt[key] = (new_total, state, payload)
         if not nxt:
             return INF, None
+        layers.append(nxt)
         states = nxt
-    best_total, best_path = min(states.values(), key=lambda item: item[0])
-    return best_total, list(best_path)
+    state = min(states, key=lambda key: states[key][0])
+    best_total = states[state][0]
+    picks = []
+    for layer in reversed(layers):
+        _, state, payload = layer[state]
+        picks.append(payload)
+    picks.reverse()
+    return best_total, picks
 
 
 def solve_block_selection(
@@ -379,6 +473,9 @@ def _vi_engine(
         mod = compute_modulator(g).vertices
     else:
         mod = tuple(sorted(set(modulator)))
+        outside = [u for u in mod if not 1 <= u <= g.n]
+        if outside:
+            raise StructuralError(f"modulator vertex {outside[0]} is not in 1..{g.n}")
     comps = components_outside(g, mod)
     if stats is not None:
         stats.setdefault("guesses", 0)
@@ -392,17 +489,15 @@ def _vi_engine(
         if k is None and len(selected) >= best:
             break
         blocks = []
-        empty = False
+        block_edges = []
         for comp in comps:
-            reduced = _reduce_options(
-                (load, gain, heads)
-                for load, gain, heads in _component_orientations(g, mod, selected, comp)
-            )
+            forced, free = _component_edges(g, selected, comp)
+            reduced = _reduce_options(_component_orientations(g, mod, comp, forced, free))
             if not reduced:
-                empty = True
                 break
             blocks.append(reduced)
-        if empty:
+            block_edges.append((forced, free))
+        if len(blocks) < len(comps):  # some component has no valid option
             continue
         memo: dict[tuple[int, ...], tuple[int | float, list | None]] = {}
         for heads_u, residual in _orientations_for_selected(g, mod, selected):
@@ -417,8 +512,8 @@ def _vi_engine(
                 continue
             if k is None or value <= k:
                 assembly = dict(heads_u)
-                for pick in picks or []:
-                    assembly.update(pick)
+                for (forced, free), mask in zip(block_edges, picks or []):
+                    assembly.update(_component_heads(forced, free, mask))
                 best = value
                 best_assembly = assembly
                 if k is not None:

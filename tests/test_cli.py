@@ -269,6 +269,19 @@ def test_solve_vi_decision(tmp_path, capsys):
     assert main(["solve", "--input", inp, "--algo", "vi", "--k", "2"]) == 1
 
 
+def test_solve_vi_modulator_out_of_range(tmp_path, capsys):
+    inp = put(tmp_path, "p3.cvc", "cvc 3 2\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 2 3\n")
+    for ids in ["99", "-3", "0", "2 4"]:
+        mod = put(tmp_path, "p3.mod", f"modulator {ids}\n")
+        assert main(["solve", "--input", inp, "--algo", "vi", "--modulator", mod]) == 2
+        captured = capsys.readouterr()
+        assert "error: modulator vertex" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+    mod = put(tmp_path, "p3.mod", "modulator 2\n")
+    assert main(["solve", "--input", inp, "--algo", "vi", "--modulator", mod]) == 0
+    assert "MINSIZE" in capsys.readouterr().out
+
+
 def test_bench_path_family(tmp_path, capsys):
     assert main(["bench", "--ctw-min", "1", "--ctw-max", "1", "--n", "8",
                  "--extra", "0", "--seed", "0"]) == 0

@@ -1,10 +1,13 @@
 import math
 import random
+from itertools import combinations
 from itertools import product
 
 import pytest
 
+import cvckit.vertex_integrity as vi_mod
 from cvckit.core import CapacitatedGraph, CapExceededError, verify_orientation
+from cvckit.core import Orientation, StructuralError, normalize_capacities
 from cvckit.oracle import solve_exact, solve_pruned
 from cvckit.vertex_integrity import (
     CatalogOption,
@@ -291,3 +294,214 @@ def test_solve_vi_external_modulator():
     assert yes and stats["modulator"] == (1, 2, 3)
     internal = len(g.edges)
     assert stats["guesses"] <= 2 ** (3 + internal)
+
+
+# --- bitmask search and incremental catalogs against the direct loops ---------
+#
+# The references below are the direct versions of the search loops: score
+# every deletion set by a fresh component search, and rebuild the in-degrees
+# and the edge heads of every catalog mask from scratch.
+
+
+def _reference_modulator(g):
+    def score(mod):
+        comps = components_outside(g, mod)
+        return len(mod) + max((len(c) for c in comps), default=0)
+
+    best_u = ()
+    best = score(())
+    for s in range(1, g.n + 1):
+        if s + 1 >= best:
+            break
+        for cand in combinations(g.vertices(), s):
+            val = score(cand)
+            if val < best:
+                best, best_u = val, cand
+    return vi_mod.Modulator(tuple(best_u), best)
+
+
+def _reference_orientations(g, mod_order, selected, comp):
+    comp_set = set(comp)
+    mod_index = {u: i for i, u in enumerate(mod_order)}
+    cap = g.capacity
+    forced, free = [], []
+    preload = {w: 0 for w in comp}
+    for u, v in g.edges:
+        inu, inv = u in comp_set, v in comp_set
+        if not (inu or inv):
+            continue
+        if inu and inv:
+            free.append((u, v))
+            continue
+        other, inside = (u, v) if inv else (v, u)
+        if other in selected:
+            free.append((u, v))
+        else:
+            forced.append(((u, v), inside))
+            preload[inside] += 1
+    if any(preload[w] > cap[w] for w in comp):
+        return
+    for mask in range(1 << len(free)):
+        heads = dict(forced)
+        indeg = dict(preload)
+        load = [0] * len(mod_order)
+        ok = True
+        for b, (u, v) in enumerate(free):
+            head = v if (mask >> b) & 1 else u
+            heads[(u, v)] = head
+            if head in comp_set:
+                indeg[head] += 1
+                if indeg[head] > cap[head]:
+                    ok = False
+                    break
+            else:
+                load[mod_index[head]] += 1
+        if not ok:
+            continue
+        yield tuple(load), sum(1 for w in comp if indeg[w] > 0), heads
+
+
+def _reference_block_select(reduced, residual):
+    width = len(residual)
+    caps = list(residual)
+    for i in range(width):
+        reachable = sum(max((load[i] for load, _, _ in block), default=0) for block in reduced)
+        caps[i] = min(caps[i], reachable)
+    if any(c < 0 for c in caps):
+        return math.inf, None
+    states = {tuple(caps): (0, ())}
+    for block in reduced:
+        nxt = {}
+        for state, (total, path) in sorted(states.items()):
+            for load, gain, payload in block:
+                rem = tuple(r - x for r, x in zip(state, load))
+                if min(rem, default=0) < 0:
+                    continue
+                cur = nxt.get(rem)
+                if cur is None or total + gain < cur[0]:
+                    nxt[rem] = (total + gain, path + (payload,))
+        if not nxt:
+            return math.inf, None
+        states = nxt
+    best_total, best_path = min(states.values(), key=lambda item: item[0])
+    return best_total, list(best_path)
+
+
+def _reference_engine(g, k, stats):
+    g = normalize_capacities(g)
+    mod = _reference_modulator(g).vertices
+    comps = components_outside(g, mod)
+    stats["guesses"] = 0
+    best, best_assembly = math.inf, None
+    for selected in vi_mod._selected_sets(g, mod):
+        if k is not None and len(selected) > k:
+            break
+        if k is None and len(selected) >= best:
+            break
+        blocks = [
+            vi_mod._reduce_options(_reference_orientations(g, mod, selected, comp))
+            for comp in comps
+        ]
+        if not all(blocks):
+            continue
+        memo = {}
+        for heads_u, residual in vi_mod._orientations_for_selected(g, mod, selected):
+            stats["guesses"] += 1
+            res_key = tuple(residual[u] for u in mod)
+            if res_key not in memo:
+                memo[res_key] = _reference_block_select(blocks, res_key)
+            total_gain, picks = memo[res_key]
+            value = len(selected) + total_gain
+            if value >= best or (k is not None and value > k):
+                continue
+            best, best_assembly = value, dict(heads_u)
+            for pick in picks:
+                best_assembly.update(pick)
+            if k is not None:
+                break
+        if k is not None and best_assembly is not None:
+            break
+    return best, None if best_assembly is None else Orientation(best_assembly)
+
+
+def _seeded_graph(rng, n, p):
+    """A random graph with capacities drawn from 0..deg(v), zero included."""
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    g = CapacitatedGraph.build(n, edges, [0] * (n + 1))
+    return g.with_capacity([0] + [rng.randint(0, g.deg(v)) for v in range(1, n + 1)])
+
+
+def _disjoint_union(a, b):
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return CapacitatedGraph.build(a.n + b.n, edges, a.capacity + b.capacity[1:])
+
+
+def test_modulator_matches_reference_loop():
+    rng = random.Random(61)
+    graphs = [graph(0, [], {}), graph(9, [], {v: 0 for v in range(1, 10)})]
+    graphs.append(_disjoint_union(_seeded_graph(rng, 6, 0.6), _seeded_graph(rng, 7, 0.5)))
+    while len(graphs) < 220:
+        n = rng.randint(1, 13)
+        g = _seeded_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
+        if rng.random() < 0.2 and n <= 10:
+            g = _disjoint_union(g, _seeded_graph(rng, rng.randint(1, 13 - n), 0.5))
+        graphs.append(g)
+    assert any(len(components_outside(g, ())) > 1 and g.edges for g in graphs)
+    for g in graphs:
+        assert compute_modulator(g) == _reference_modulator(g)
+
+
+def test_component_orientations_match_reference():
+    rng = random.Random(67)
+    compared = 0
+    for _ in range(60):
+        g = normalize_capacities(_seeded_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.5])))
+        mods = [compute_modulator(g).vertices]
+        mods.append(tuple(sorted(rng.sample(range(1, g.n + 1), rng.randint(0, g.n)))))
+        for mod in mods:
+            comps = components_outside(g, mod)
+            for selected in vi_mod._selected_sets(g, mod):
+                for comp in comps:
+                    forced, free = vi_mod._component_edges(g, selected, comp)
+                    if len(free) > 12:
+                        continue
+                    got = [
+                        (load, gain, vi_mod._component_heads(forced, free, mask))
+                        for load, gain, mask
+                        in vi_mod._component_orientations(g, mod, comp, forced, free)
+                    ]
+                    want = list(_reference_orientations(g, mod, selected, comp))
+                    assert got == want
+                    compared += len(want)
+    assert compared > 1000
+
+
+def test_engine_matches_reference_guesses_and_certificates():
+    rng = random.Random(71)
+    for _ in range(80):
+        g = _seeded_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        for k in [None] + list(range(0, g.n + 1)):
+            stats, ref_stats = {}, {}
+            if k is None:
+                value, cert = solve_vi_opt(g, stats=stats)
+            else:
+                yes, cert = solve_vi(g, k, stats=stats)
+            ref_value, ref_cert = _reference_engine(g, k, ref_stats)
+            assert stats["guesses"] == ref_stats["guesses"]
+            if k is None:
+                assert value == ref_value
+            else:
+                assert yes == (ref_cert is not None)
+            assert (cert is None) == (ref_cert is None)
+            if cert is not None:
+                assert cert.heads == ref_cert.heads
+
+
+def test_external_modulator_out_of_range_is_refused():
+    g = graph(3, [(1, 2), (2, 3)], {1: 1, 2: 1, 3: 1})
+    for bad in [(99,), (-3,), (0,), (2, 4)]:
+        with pytest.raises(StructuralError):
+            solve_vi_opt(g, modulator=bad)
+        with pytest.raises(StructuralError):
+            solve_vi(g, 2, modulator=bad)
+    assert solve_vi_opt(g, modulator=(2,))[0] == 2
