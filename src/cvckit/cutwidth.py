@@ -27,6 +27,7 @@ from .core import (
     GraphFormatError,
     Orientation,
     StructuralError,
+    _content_lines,
     normalize_capacities,
 )
 
@@ -57,11 +58,7 @@ class LinearArrangement:
 
 
 def parse_arrangement(text: str) -> LinearArrangement:
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = [t for _, parts in _content_lines(text) for t in parts]
     if not tokens or tokens[0] != "arrangement":
         raise GraphFormatError("expected 'arrangement <n>' header")
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .core import CapExceededError, GraphFormatError
+from .core import CapExceededError, GraphFormatError, _content_lines
 
 DEFAULT_CHECK_CAP = 10**8
 
@@ -95,12 +95,9 @@ def build_family(universe_size: int, d: int, mode: str = "singleton") -> Detecti
 
 def parse_family(text: str) -> tuple[frozenset[int], ...]:
     sets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, parts in _content_lines(text):
         try:
-            sets.append(frozenset(int(x) for x in line.split()))
+            sets.append(frozenset(int(x) for x in parts))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer index") from None
     return tuple(sets)

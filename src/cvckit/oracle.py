@@ -25,6 +25,7 @@ from .core import (
     GraphFormatError,
     Orientation,
     StructuralError,
+    _content_lines,
     _fold,
     assign_edges,
     normalize_capacities,
@@ -71,11 +72,7 @@ def parse_choice_groups(text: str) -> ChoiceGroups:
     forced: set[int] = set()
     groups: list[frozenset[int]] = []
     free: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         try:
             ids = [int(x) for x in parts[1:]]
         except ValueError:

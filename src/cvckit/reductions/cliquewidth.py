@@ -8,7 +8,7 @@ target instance, vertex ids and edge set both exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError, StructuralError
+from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _content_lines
 
 MAX_LABELS = 6
 
@@ -72,11 +72,7 @@ def verify_cw_expression(expr: CliquewidthExpression, g: CapacitatedGraph) -> bo
 
 def parse_expression(text: str) -> CliquewidthExpression:
     ops: list[Op] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         try:
             if parts[0] == "intro" and len(parts) == 3:
                 ops.append(("intro", int(parts[1]), int(parts[2])))

@@ -16,8 +16,9 @@ grows linearly in the class count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError
+from ..core import CapacitatedGraph, GraphFormatError, _content_lines
 from ..oracle import ChoiceGroups
+from ._builder import Builder
 
 ClassVertex = tuple[int, int]  # (class, index)
 
@@ -90,11 +91,7 @@ def verify_td_witness(g: CapacitatedGraph, witness: TreedepthWitness) -> tuple[b
 
 def parse_witness(text: str) -> TreedepthWitness:
     parent: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if parts[0] != "parent" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'parent <v> <p|0>'")
         try:
@@ -117,11 +114,7 @@ def parse_mcc(text: str) -> MccInstance:
     header = None
     classes: dict[int, list[int]] = {}
     raw_edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         try:
             if parts[0] == "mcc" and len(parts) == 3:
                 header = (int(parts[1]), int(parts[2]))
@@ -176,32 +169,19 @@ class MccReduction:
     clique_selection: dict  # (class, index) -> per-instance chosen vertex ids
 
 
-class _Builder:
+class _Builder(Builder):
     def __init__(self, n: int):
+        super().__init__()
         self.n = n
-        self.next_id = 1
-        self.edges: list[tuple[int, int]] = []
-        self.demand: dict[int, int] = {}
         self.marked: list[int] = []
         self.parent: dict[int, int] = {}
         self.choice_instances: list[dict] = []
         self.edge_groups: list[tuple[int, frozenset[int], dict]] = []
 
-    def plain(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        self.demand[v] = 0
-        return v
-
     def marked_vertex(self, dem: int) -> int:
-        v = self.next_id
-        self.next_id += 1
-        self.demand[v] = dem
+        v = self.vertex(dem)
         self.marked.append(v)
         return v
-
-    def edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v) if u < v else (v, u))
 
     def bundle(self, count: int, a: int, b: int, attach: int) -> None:
         """A `count`-edge: that many parallel pendant-forced degree-2
@@ -214,7 +194,7 @@ class _Builder:
 
     def choice_instance(self, cls: int) -> dict:
         head = self.marked_vertex(1)
-        picks = [self.plain() for _ in range(self.n)]
+        picks = [self.vertex() for _ in range(self.n)]
         for v in picks:
             self.edge(head, v)
         inst = {"class": cls, "head": head, "picks": picks}
@@ -235,7 +215,7 @@ def _build_gadget(b: _Builder, epair, lo1, hi1, lo2, hi2) -> dict:
         lam = b.marked_vertex(n)
         pair_vertices: dict[tuple[int, int], int] = {}
         for j, jp in epair(i, ip):
-            ve = b.plain()
+            ve = b.vertex()
             pair_vertices[(j, jp)] = ve
             b.edge(ehead, ve)
         for j, v in enumerate(row[i]["picks"], start=1):
@@ -338,25 +318,10 @@ def reduce_mcc_td(inst: MccInstance) -> MccReduction:
     delta = len(b.marked)
     budget = k * k + gamma + delta
 
-    leaf_caps: dict[int, int] = {}
-    for v in list(b.marked):
-        for _ in range(budget + 1):
-            leaf = b.next_id
-            b.next_id += 1
-            b.edge(v, leaf)
-            leaf_caps[leaf] = 1
+    for v in b.marked:
+        for leaf in b.pin(v, budget + 1):
             b.parent[leaf] = v
-    total = b.next_id - 1
-
-    deg = [0] * (total + 1)
-    for u, v in b.edges:
-        deg[u] += 1
-        deg[v] += 1
-    caps = dict(leaf_caps)
-    for v, dem in b.demand.items():
-        caps[v] = max(deg[v] - dem, 0)
-
-    graph = CapacitatedGraph.build(total, b.edges, caps, budget=budget)
+    graph = b.graph(budget)
     witness = TreedepthWitness(dict(b.parent))
 
     choice_groups = tuple(frozenset(inst_["picks"]) for inst_ in b.choice_instances)

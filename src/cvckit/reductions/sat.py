@@ -17,6 +17,7 @@ from itertools import product
 from ..core import CapacitatedGraph, GraphFormatError, StructuralError
 from ..detecting import DetectingFamily, is_detecting
 from ..oracle import ChoiceGroups
+from ._builder import Builder
 from .cliquewidth import CliquewidthExpression
 
 Literal = tuple[int, bool]  # (variable, positive?)
@@ -217,22 +218,19 @@ def reduce_sat_natural(
     total_sets = sum(len(f.sets) for f in families)
     k = 2 * n_v + 2 * total_sets
 
-    next_id = 1
+    b = Builder()
     choice_heads: list[int] = []  # u_p ids
     assignment_ids: list[list[int]] = []  # per group
     assignment_of: dict[int, tuple[int, dict[int, bool]]] = {}
-    edges: list[tuple[int, int]] = []
     for p, vgroup in enumerate(grouping.variable_groups):
-        u_p = next_id
-        next_id += 1
+        u_p = b.vertex(1)
         choice_heads.append(u_p)
         ids = []
         for bits in product((False, True), repeat=len(vgroup)):
-            vid = next_id
-            next_id += 1
+            vid = b.vertex()
             ids.append(vid)
             assignment_of[vid] = (p, dict(zip(vgroup, bits)))
-            edges.append((u_p, vid))
+            b.edge(u_p, vid)
         assignment_ids.append(ids)
     all_assignment = [vid for ids in assignment_ids for vid in ids]
 
@@ -251,10 +249,8 @@ def reduce_sat_natural(
     for i, (fam, cgroup) in enumerate(zip(families, grouping.clause_groups)):
         for subset in fam.sets:
             clause_ids = {cgroup[x - 1] for x in subset}
-            a_id = next_id
-            next_id += 1
-            a_mate = next_id
-            next_id += 1
+            a_id = b.vertex(len(subset))
+            a_mate = b.vertex(max(n_v - len(subset), 0))  # capacity never above degree
             test_pairs.append((a_id, a_mate, len(subset)))
             satisfied: set[int] = set()
             for p in range(n_v):
@@ -267,31 +263,12 @@ def reduce_sat_natural(
                         satisfied.add(vid)
             for vid in all_assignment:
                 target = a_id if vid in satisfied else a_mate
-                edges.append((min(target, vid), max(target, vid)))
+                b.edge(target, vid)
 
     marked = choice_heads + [x for pair in test_pairs for x in pair[:2]]
-    leaf_caps = {}
     for v in marked:
-        for _ in range(k + 1):
-            edges.append((v, next_id))
-            leaf_caps[next_id] = 1
-            next_id += 1
-    total = next_id - 1
-
-    deg = [0] * (total + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    caps: dict[int, int] = dict(leaf_caps)
-    for u_p in choice_heads:
-        caps[u_p] = deg[u_p] - 1
-    for vid in all_assignment:
-        caps[vid] = deg[vid]
-    for a_id, a_mate, size in test_pairs:
-        caps[a_id] = min(max(deg[a_id] - size, 0), deg[a_id])
-        caps[a_mate] = min(max(deg[a_mate] - (n_v - size), 0), deg[a_mate])
-
-    graph = CapacitatedGraph.build(total, edges, caps, budget=k)
+        b.pin(v, k + 1)
+    graph = b.graph(k)
     meta = ChoiceGroups(
         frozenset(marked),
         tuple(frozenset(ids) for ids in assignment_ids),
@@ -332,27 +309,13 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
     n, m = psi.num_vars, len(psi.clauses)
     k = 8 * m + n
 
-    next_id = 1
-    edges: list[tuple[int, int]] = []
-    demand: dict[int, int] = {}
-    leaf_caps: dict[int, int] = {}
+    b = Builder()
     ops: list[tuple] = []
 
-    def fresh() -> int:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        return v
-
     def intro_marked(label: int, dem: int) -> int:
-        v = fresh()
-        demand[v] = dem
+        v = b.vertex(dem)
         ops.append(("intro", v, label))
-        for _ in range(k + 1):
-            leaf = fresh()
-            leaf_caps[leaf] = 1
-            ops.append(("intro", leaf, 5))
-            edges.append((v, leaf))
+        ops.extend(("intro", leaf, 5) for leaf in b.pin(v, k + 1))
         ops.append(("join", label, 5))
         ops.append(("relabel", 5, 6))
         return v
@@ -377,25 +340,23 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
     selector_of: dict[int, tuple[int, int]] = {}
 
     for var in range(1, n + 1):
-        v_id = fresh()
-        demand[v_id] = 0
+        v_id = b.vertex()
         ops.append(("intro", v_id, 3))
         for j, side in sorted(pos_lists[var]):
             lit = intro_marked(4, j + 1)
             (lit_plus if side == "+" else lit_minus)[(j, var)] = lit
-            edges.append((v_id, lit))
+            b.edge(v_id, lit)
             ops.append(("join", 3, 4))
             ops.append(("relabel", 4, 1 if side == "+" else 2))
-        bar_id = fresh()
-        demand[bar_id] = 0
+        bar_id = b.vertex()
         ops.append(("intro", bar_id, 4))
-        edges.append((v_id, bar_id))
+        b.edge(v_id, bar_id)
         ops.append(("join", 3, 4))
         ops.append(("relabel", 3, 6))
         for j, side in sorted(neg_lists[var]):
             lit = intro_marked(3, j + 1)
             (lit_plus if side == "+" else lit_minus)[(j, var)] = lit
-            edges.append((bar_id, lit))
+            b.edge(bar_id, lit)
             ops.append(("join", 4, 3))
             ops.append(("relabel", 3, 1 if side == "+" else 2))
         ops.append(("relabel", 4, 6))
@@ -407,27 +368,18 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
         c = intro_marked(3, 3 * j + 1)
         clause_plus.append(c)
         for lit in sorted(lit_plus.values()):
-            edges.append((min(c, lit), max(c, lit)))
+            b.edge(c, lit)
         ops.append(("join", 3, 1))
         ops.append(("relabel", 3, 6))
     for j in range(m):
         c = intro_marked(3, 3 * j + 2)
         clause_minus.append(c)
         for lit in sorted(lit_minus.values()):
-            edges.append((min(c, lit), max(c, lit)))
+            b.edge(c, lit)
         ops.append(("join", 3, 2))
         ops.append(("relabel", 3, 6))
 
-    total = next_id - 1
-    deg = [0] * (total + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    caps = dict(leaf_caps)
-    for v, dem in demand.items():
-        caps[v] = max(deg[v] - dem, 0)
-
-    graph = CapacitatedGraph.build(total, edges, caps, budget=k)
+    graph = b.graph(k)
     marked = frozenset(list(lit_plus.values()) + list(lit_minus.values()) + clause_plus + clause_minus)
     groups = tuple(frozenset(selector_of[v]) for v in range(1, n + 1))
     meta = ChoiceGroups(marked, groups, frozenset())

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacitatedGraph, GraphFormatError
+from ..core import CapacitatedGraph, GraphFormatError, _content_lines
 from ..oracle import ChoiceGroups
+from ._builder import Builder
 
 
 @dataclass(frozen=True)
@@ -45,33 +46,16 @@ def reduce_smc(inst: SmcInstance) -> SmcReduction:
     equivalence holds for degenerate inputs too.  The element vertices
     form a vertex cover of the output by construction.
     """
-    m, n = inst.universe_size, len(inst.sets)
-    kprime = m + inst.budget
-    elements = tuple(range(1, m + 1))
-    set_vertices = tuple(range(m + 1, m + n + 1))
-    edges = []
-    for j, s in enumerate(inst.sets):
+    kprime = inst.universe_size + inst.budget
+    b = Builder()
+    elements = tuple(b.vertex(inst.demand) for _ in range(inst.universe_size))
+    set_vertices = tuple(b.vertex() for _ in inst.sets)
+    for s, u in zip(inst.sets, set_vertices):
         for x in sorted(s):
-            edges.append((x, m + 1 + j))
-    next_id = m + n + 1
-    leaf_caps = {}
+            b.edge(x, u)
     for x in elements:
-        for _ in range(kprime + 1):
-            edges.append((x, next_id))
-            leaf_caps[next_id] = 0
-            next_id += 1
-    total = next_id - 1
-    deg = [0] * (total + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    caps = {}
-    for x in elements:
-        caps[x] = max(deg[x] - inst.demand, 0)
-    for j, u in enumerate(set_vertices):
-        caps[u] = deg[u]
-    caps.update(leaf_caps)
-    graph = CapacitatedGraph.build(total, edges, caps, budget=kprime)
+        b.pin(x, kprime + 1, demand=1)
+    graph = b.graph(kprime)
     meta = ChoiceGroups(frozenset(elements), (), frozenset(set_vertices))
     return SmcReduction(graph, kprime, meta, elements, set_vertices)
 
@@ -80,11 +64,7 @@ def parse_smc(text: str) -> SmcInstance:
     """``smc <m> <n> <b> <k>`` then one ``set <j> <elements...>`` per set."""
     header = None
     sets: dict[int, frozenset[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if parts[0] == "smc":
             if header is not None or len(parts) != 5:
                 raise GraphFormatError(f"line {lineno}: bad smc header")

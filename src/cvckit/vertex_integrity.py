@@ -8,6 +8,12 @@ tying component loads to the modulator residuals and the solution size.
 It is solved here by an exact dynamic program over capped residual
 vectors, which keeps the same feasibility semantics as the integer-
 programming formulation it replaces.
+
+Both the guesses and the catalogs walk every orientation of their free
+edges, so a component (or the modulator itself) with more than
+``MAX_FREE_EDGES`` free edges is refused with ``CapExceededError``.  A
+weak modulator given from outside is refused at once instead of walking
+2^(free edges) orientations.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from .core import (
     GraphFormatError,
     Orientation,
     StructuralError,
+    _content_lines,
     normalize_capacities,
 )
 
 INF = math.inf
 DEFAULT_MODULATOR_CAP = 18
 _CHUNK = 6  # mask bits per neighbourhood lookup table in compute_modulator
+MAX_FREE_EDGES = 20  # a component walks 2^free orientations; 2^20 take about a second
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,7 @@ class ComponentCatalog:
 
 
 def parse_modulator(text: str) -> tuple[int, ...]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if parts[0] != "modulator":
             raise GraphFormatError(f"line {lineno}: expected 'modulator <ids...>'")
         try:
@@ -193,43 +197,28 @@ def _orientations_for_selected(
     g: CapacitatedGraph, modulator: Sequence[int], selected: frozenset[int]
 ) -> Iterator[tuple[dict[Edge, int], dict[int, int]]]:
     """Valid orientations of the modulator-internal edges for a fixed
-    selected set, with the residual capacities they leave behind."""
+    selected set, with the residual capacities they leave behind.
+
+    ``selected`` comes from ``_selected_sets``, so it touches every
+    internal edge: an edge with one selected endpoint points there, and an
+    edge with two is free.  The free edges are walked as one component
+    made of the whole modulator.
+    """
     mod_set = set(modulator)
-    internal = [(u, v) for u, v in g.edges if u in mod_set and v in mod_set]
     forced: list[tuple[Edge, int]] = []
     free: list[Edge] = []
-    for u, v in internal:
-        su, sv = u in selected, v in selected
-        if su and sv:
-            free.append((u, v))
-        elif su:
-            forced.append(((u, v), u))
-        elif sv:
-            forced.append(((u, v), v))
-        else:
-            return  # an internal edge nobody may receive: no valid guess
-    base_indeg = {u: 0 for u in modulator}
-    for _, head in forced:
-        base_indeg[head] += 1
-    cap = g.capacity
-    for mask in range(1 << len(free)):
-        heads = dict(forced)
-        indeg = dict(base_indeg)
-        ok = True
-        for b, (u, v) in enumerate(free):
-            head = v if (mask >> b) & 1 else u
-            heads[(u, v)] = head
-            indeg[head] += 1
-            if indeg[head] > cap[head]:
-                ok = False
-                break
-        if not ok:
-            continue
-        if any(indeg[u] > cap[u] for u in modulator):
-            continue
-        residual = {
-            u: (cap[u] - indeg[u] if u in selected else 0) for u in modulator
-        }
+    for u, v in g.edges:
+        if u in mod_set and v in mod_set:
+            if u in selected and v in selected:
+                free.append((u, v))
+            else:
+                forced.append(((u, v), u if u in selected else v))
+    room = {u: g.capacity[u] if u in selected else 0 for u in modulator}
+    for _, _, mask in _component_orientations(g, (), modulator, forced, free):
+        heads = _component_heads(forced, free, mask)
+        residual = dict(room)
+        for head in heads.values():
+            residual[head] -= 1
         yield heads, residual
 
 
@@ -305,8 +294,10 @@ def _component_orientations(
     positive in-degree.  Yields (load on each modulator vertex, vertices of
     the component with positive in-degree, mask) for every mask that keeps
     the component within capacity; ``_component_heads`` turns a mask into
-    edge heads.
+    edge heads.  Refuses more than ``MAX_FREE_EDGES`` free edges.
     """
+    if len(free) > MAX_FREE_EDGES:
+        raise CapExceededError(f"{len(free)} free edges to orient, cap is {MAX_FREE_EDGES}")
     c = len(comp)
     # slots 0..c-1 are the component's vertices, c.. the modulator's
     slot = {w: i for i, w in enumerate(comp)}

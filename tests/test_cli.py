@@ -282,6 +282,16 @@ def test_solve_vi_modulator_out_of_range(tmp_path, capsys):
     assert "MINSIZE" in capsys.readouterr().out
 
 
+def test_solve_vi_weak_modulator_is_refused(tmp_path, capsys):
+    k8 = "".join(f"e {u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9))
+    inp = put(tmp_path, "k8.cvc", "cvc 8 28\n" + "".join(f"v {v} 7\n" for v in range(1, 9)) + k8)
+    mod = put(tmp_path, "k8.mod", "modulator 1\n")
+    assert main(["solve", "--input", inp, "--algo", "vi", "--modulator", mod]) == 2
+    captured = capsys.readouterr()
+    assert "error: 21 free edges" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bench_path_family(tmp_path, capsys):
     assert main(["bench", "--ctw-min", "1", "--ctw-max", "1", "--n", "8",
                  "--extra", "0", "--seed", "0"]) == 0

@@ -15,6 +15,13 @@ from cvckit.core import (
     parse_orientation,
     verify_orientation,
 )
+from cvckit.cutwidth import LinearArrangement, parse_arrangement
+from cvckit.detecting import parse_family
+from cvckit.oracle import ChoiceGroups, parse_choice_groups
+from cvckit.reductions.cliquewidth import CliquewidthExpression, parse_expression
+from cvckit.reductions.mcc import MccInstance, TreedepthWitness, parse_mcc, parse_witness
+from cvckit.reductions.smc import SmcInstance, parse_smc
+from cvckit.vertex_integrity import parse_modulator
 from bruteforce import brute_assignable
 
 
@@ -233,3 +240,41 @@ def test_orientation_file_rejects_non_edge():
     g = graph(3, [(1, 2)], {1: 1, 2: 1, 3: 0})
     with pytest.raises(StructuralError):
         parse_orientation("a 1 3\n", g)
+
+
+# --- record files ------------------------------------------------------------
+# Every line-oriented parser reads its records through ``_content_lines``:
+# ``#`` starts a comment, blank lines are skipped, and errors name the line.
+
+HEAD = "# leading comment\n\n"
+
+RECORD_FILES = [
+    # (parser, records, parsed value, malformed records, line the error names)
+    (parse_modulator, "modulator 3 1  # trailing\n", (1, 3), "modulator 1 x\n", 3),
+    (parse_choice_groups, "forced 1 2  # trailing\ngroup 3 4\nfree 5\n",
+     ChoiceGroups(frozenset({1, 2}), (frozenset({3, 4}),), frozenset({5})),
+     "forced 1\nbogus 2\n", 4),
+    (parse_arrangement, "arrangement 2  # trailing\n2\n1\n", LinearArrangement((2, 1)),
+     "arrangement 2\n1\n", None),
+    (parse_family, "1 2  # trailing\n3\n", (frozenset({1, 2}), frozenset({3})), "1\n2 x\n", 4),
+    (parse_expression, "intro 1 1  # trailing\nintro 2 2\njoin 1 2\n",
+     CliquewidthExpression((("intro", 1, 1), ("intro", 2, 2), ("join", 1, 2))),
+     "intro 1 1\nintro 2 2\nfrob 1 2\n", 5),
+    (parse_witness, "parent 1 0  # trailing\nparent 2 1\n", TreedepthWitness({1: 0, 2: 1}),
+     "parent 1 0\nparent 2\n", 4),
+    (parse_mcc, "mcc 2 1  # trailing\nclass 1 1\nclass 2 2\ne 1 2\n",
+     MccInstance(2, 1, frozenset({frozenset({(1, 1), (2, 1)})})),
+     "mcc 2 1\nclass 1 1\nclass 2 2\ne 1 x\n", 6),
+    (parse_smc, "smc 2 1 1 1  # trailing\nset 1 1 2\n",
+     SmcInstance(2, (frozenset({1, 2}),), 1, 1), "smc 2 1 1 1\nset x\n", 4),
+]
+
+
+@pytest.mark.parametrize("parse, records, value, bad, bad_line", RECORD_FILES,
+                         ids=[row[0].__name__ for row in RECORD_FILES])
+def test_record_files_skip_comments_and_name_bad_lines(parse, records, value, bad, bad_line):
+    assert parse(HEAD + records) == value
+    with pytest.raises(GraphFormatError) as err:
+        parse(HEAD + bad)
+    if bad_line is not None:
+        assert str(err.value).startswith(f"line {bad_line}:")

@@ -1,12 +1,16 @@
 """The benchmark tracer (``cvcbench/tracing.py``) wraps cvckit functions by
-module and attribute name; a rename in cvckit must fail here, not in a
-traced benchmark run."""
+module and attribute name, and the benchmark scripts import cvckit names;
+a rename in cvckit must fail here, not in a benchmark run.  The package
+itself imports nothing outside the standard library."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "cvcbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "cvcbench" / "tracing.py"
 
 
 def test_every_traced_function_resolves():
@@ -17,3 +21,35 @@ def test_every_traced_function_resolves():
     for module_name, attr, _, _ in tracing.WRAPS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def _imports(path):
+    return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_every_benchmark_import_from_cvckit_resolves():
+    checked = 0
+    for path in sorted((ROOT / "cvcbench").glob("*.py")):
+        for node in _imports(path):
+            if not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("cvckit"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):  # a submodule, as in ``from cvckit import cli``
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                checked += 1
+    assert checked
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "cvckit").rglob("*.py")):
+        for node in _imports(path):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    continue
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

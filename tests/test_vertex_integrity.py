@@ -505,3 +505,18 @@ def test_external_modulator_out_of_range_is_refused():
         with pytest.raises(StructuralError):
             solve_vi(g, 2, modulator=bad)
     assert solve_vi_opt(g, modulator=(2,))[0] == 2
+
+
+def test_weak_modulator_is_refused():
+    k8 = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
+    g = graph(8, k8, {v: 7 for v in range(1, 9)})
+    # one vertex leaves a K7 component: 21 free edges for its catalog
+    with pytest.raises(CapExceededError, match="21 free edges"):
+        solve_vi_opt(g, modulator=(1,))
+    with pytest.raises(CapExceededError):
+        solve_vi(g, 8, modulator=(1,))
+    # the whole graph as modulator: a 7-vertex selected set leaves 21
+    # free internal edges for the guesses
+    with pytest.raises(CapExceededError, match="21 free edges"):
+        solve_vi_opt(g, modulator=range(1, 9))
+    assert vi_mod.MAX_FREE_EDGES == 20
