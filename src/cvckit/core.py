@@ -59,19 +59,18 @@ class CapacitatedGraph:
         if self.n < 0:
             raise StructuralError("vertex count must be non-negative")
         self._check_capacity()
-        seen = set()
-        prev = None
-        for u, v in self.edges:
+        prev = (0, 0)
+        for e in self.edges:
+            u, v = e
             if u == v:
                 raise StructuralError(f"loop at vertex {u}")
             if not (1 <= u < v <= self.n):
                 raise StructuralError(f"edge ({u},{v}) out of range or not canonical")
-            if (u, v) in seen:
-                raise StructuralError(f"duplicate edge ({u},{v})")
-            if prev is not None and (u, v) < prev:
+            if e <= prev:  # strictly increasing, so no duplicates either
+                if e == prev:
+                    raise StructuralError(f"duplicate edge ({u},{v})")
                 raise StructuralError("edges not in canonical order")
-            seen.add((u, v))
-            prev = (u, v)
+            prev = e
 
     def _check_capacity(self) -> None:
         if len(self.capacity) != self.n + 1:
@@ -134,9 +133,6 @@ class CapacitatedGraph:
         g.__dict__.update(self.__dict__, capacity=tuple(capacity))
         g._check_capacity()
         return g
-
-    def with_budget(self, budget: int | None) -> "CapacitatedGraph":
-        return CapacitatedGraph(self.n, self.edges, self.capacity, budget)
 
 
 class Orientation:

@@ -3,9 +3,10 @@
 Three entry points, all desk-scale:
 
 * solve_exact: plain subset enumeration, the reference answer.
-* solve_pruned: decision variant with two sound pendant-leaf rules, so
-  instances carrying huge leaf bundles (the reduction outputs) stay
-  searchable.
+* solve_pruned: decision by solution size k.  Branches on uncovered
+  edges for vertex covers of at most k vertices, then only counts how
+  many interchangeable twins outside the cover are taken; refuses above
+  its search cap before any assignment call.
 * solve_canonical: searches only the canonical solution shapes that a
   reduction's correctness argument establishes (forced vertices, one pick
   per choice group, a few free extras).  Complete only over that space;
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, groupby
 from typing import Sequence
 
 from .core import (
@@ -147,32 +148,49 @@ def solve_exact(
 
 
 # ---------------------------------------------------------------------------
-# pruned decision procedure
+# decision by solution size
 
-def _pendant_leaves(g: CapacitatedGraph) -> dict[int, list[int]]:
-    """Map each vertex to its pendant-leaf neighbors (deg-1, attached to a
-    vertex of degree >= 2)."""
-    out: dict[int, list[int]] = {}
-    for v in g.vertices():
-        if g.deg(v) == 1:
-            w = g.neighbors(v)[0]
-            if g.deg(w) >= 2:
-                out.setdefault(w, []).append(v)
-    for leaves in out.values():
-        leaves.sort()
-    return out
-
-
-def _count_vectors(limits: Sequence[int], total: int):
-    """Yield count tuples with entry i in [0, limits[i]] and sum <= total,
-    in lexicographic order (all zeros first)."""
-    if not limits:
-        yield ()
+def _count_vectors(limits: Sequence[int], room: Sequence[int], total: int, first: int = 0):
+    """Yield as {i: count > 0} each vector with entry i in [0, limits[i]],
+    zero before ``first`` and sum exactly ``total``, where room[i] =
+    sum(limits[i:]).  One recursion level per nonzero entry."""
+    if total == 0:
+        yield {}
         return
-    head = limits[0]
-    for c in range(0, min(head, total) + 1):
-        for rest in _count_vectors(limits[1:], total - c):
-            yield (c,) + rest
+    for i in range(first, len(limits)):
+        if room[i] < total:
+            return
+        for c in range(1, min(limits[i], total) + 1):
+            for rest in _count_vectors(limits, room, total - c, i + 1):
+                yield {i: c, **rest}
+
+
+def _vector_count(limits: Sequence[int], total: int) -> int:
+    """How many vectors ``_count_vectors`` yields, by a DP over the entries."""
+    ways = [1] + [0] * total  # ways[t]: vectors over the entries so far with sum t
+    for lim in limits:
+        ways = [sum(ways[max(t - lim, 0):t + 1]) for t in range(total + 1)]
+    return ways[total]
+
+
+def _covers(g: CapacitatedGraph, forced: frozenset[int], k: int):
+    """Yield, once each, the vertex covers C of at most k vertices of
+    capacity >= 1 that branching from ``forced`` lists (on the first
+    uncovered edge (u, v): u is in, or u is out and N(u) is in), with the
+    twin classes outside C (vertices that can receive an edge, grouped by
+    neighbourhood, by decreasing capacity) and their sizes."""
+    stack = [forced]
+    while stack:
+        sel = stack.pop()
+        edge = next((e for e in g.edges if e[0] not in sel and e[1] not in sel), None)
+        if edge is not None:
+            for branch in (sel.union(g.neighbors(edge[0])), sel | {edge[0]}):
+                if len(branch) <= k and all(g.capacity[v] for v in branch - sel):
+                    stack.append(branch)
+            continue
+        outside = sorted((v for v in g.vertices() if v not in sel and g.capacity[v]), key=g.neighbors)
+        twins = [sorted(c, key=lambda v: (-g.capacity[v], v)) for _, c in groupby(outside, g.neighbors)]
+        yield sel, twins, [len(c) for c in twins]
 
 
 def solve_pruned(
@@ -180,68 +198,34 @@ def solve_pruned(
 ) -> tuple[bool, Orientation | None]:
     """Decide whether a feasible orientation of size <= k exists.
 
-    Two sound rules shrink the search before enumeration: a vertex with
-    more than k pendant leaves must be selected (omitting it forces all
-    those leaves in), and pendant leaves hanging off the same vertex are
-    interchangeable, so only how many get selected per star matters.
+    A solution's heads form a vertex cover of at most k vertices: it holds
+    every vertex of degree > k and one cover C from ``_covers``.  Twins
+    outside C are interchangeable (a selected one can hand its edges to an
+    unselected one of at least its capacity) and feasibility only grows
+    with the selection, so one assignment call per count vector of twins,
+    highest capacity first, min(k - |C|, all) in total.  Before the first
+    call it refuses (``CapExceededError``) when 2^(k - forced) branch
+    leaves or all count vectors, times m + 1, exceed ``search_cap``.
     """
-    if k < 0:
-        return False, None
     g = normalize_capacities(g)
-    stars = _pendant_leaves(g)
-    leaf_ids = {leaf for leaves in stars.values() for leaf in leaves}
-
-    forced = sorted(v for v, leaves in stars.items() if len(leaves) > k)
-    if len(forced) > k:
+    k = min(k, sum(1 for v in g.vertices() if g.capacity[v]))  # no support is larger
+    forced = frozenset(v for v in g.vertices() if g.deg(v) > k)
+    if len(forced) > k or not all(g.capacity[v] for v in forced):
         return False, None
-    forced_set = set(forced)
-
-    optional = [
-        v
-        for v in g.vertices()
-        if v not in leaf_ids
-        and v not in forced_set
-        and g.deg(v) >= 1
-        and g.capacity[v] >= 1
-    ]
-    usable = {v: [leaf for leaf in leaves if g.capacity[leaf] >= 1] for v, leaves in stars.items()}
-    zero_leaves = {v: sum(1 for leaf in leaves if g.capacity[leaf] == 0) for v, leaves in stars.items()}
-
-    space = 2 ** len(optional)
-    for v in stars:
-        space *= min(len(usable[v]), k) + 1
-        if space > search_cap:
-            raise CapExceededError(f"pruned search space above {search_cap}")
-    if space > search_cap:
-        raise CapExceededError(f"pruned search space above {search_cap}")
-
-    star_vertices = sorted(stars)
-    for size in range(0, min(len(optional), k - len(forced)) + 1):
-        for extra in combinations(optional, size):
-            core = forced_set | set(extra)
-            mandatory: list[int] = []
-            ok = True
-            for v in star_vertices:
-                if v in core:
-                    continue
-                if zero_leaves[v] or len(usable[v]) < len(stars[v]):
-                    ok = False  # an unselected star vertex strands a cap-0 leaf edge
-                    break
-                mandatory.extend(usable[v])
-            if not ok:
-                continue
-            base = len(core) + len(mandatory)
-            if base > k:
-                continue
-            open_stars = [v for v in star_vertices if v in core and usable[v]]
-            limits = [min(len(usable[v]), k - base) for v in open_stars]
-            for counts in _count_vectors(limits, k - base):
-                chosen = set(core) | set(mandatory)
-                for v, cnt in zip(open_stars, counts):
-                    chosen.update(usable[v][:cnt])
-                o = assign_edges(g, chosen)
-                if o is not None:
-                    return True, o
+    unit = len(g.edges) + 1
+    if unit << (k - len(forced)) > search_cap:
+        raise CapExceededError(f"pruned search above {search_cap}: 2^{k - len(forced)} covers")
+    vectors = 0
+    for cover, _, limits in _covers(g, forced, k):
+        vectors += _vector_count(limits, min(k - len(cover), sum(limits)))
+        if vectors * unit > search_cap:
+            raise CapExceededError(f"pruned search above {search_cap}: {vectors}+ count vectors")
+    for cover, twins, limits in _covers(g, forced, k):
+        room = list(accumulate(reversed(limits)))[::-1]
+        for counts in _count_vectors(limits, room, min(k - len(cover), sum(limits))):
+            o = assign_edges(g, cover.union(*(twins[i][:c] for i, c in counts.items())))
+            if o is not None:
+                return True, o
     return False, None
 
 

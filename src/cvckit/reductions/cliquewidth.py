@@ -73,15 +73,10 @@ def verify_cw_expression(expr: CliquewidthExpression, g: CapacitatedGraph) -> bo
 def parse_expression(text: str) -> CliquewidthExpression:
     ops: list[Op] = []
     for lineno, parts in _content_lines(text):
+        if parts[0] not in ("intro", "join", "relabel") or len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: unknown operation")
         try:
-            if parts[0] == "intro" and len(parts) == 3:
-                ops.append(("intro", int(parts[1]), int(parts[2])))
-            elif parts[0] == "join" and len(parts) == 3:
-                ops.append(("join", int(parts[1]), int(parts[2])))
-            elif parts[0] == "relabel" and len(parts) == 3:
-                ops.append(("relabel", int(parts[1]), int(parts[2])))
-            else:
-                raise GraphFormatError(f"line {lineno}: unknown operation")
+            ops.append((parts[0], int(parts[1]), int(parts[2])))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field") from None
     return CliquewidthExpression(tuple(ops))

@@ -115,17 +115,21 @@ def parse_mcc(text: str) -> MccInstance:
     classes: dict[int, list[int]] = {}
     raw_edges: list[tuple[int, int]] = []
     for lineno, parts in _content_lines(text):
+        kind = parts[0]
+        if not (kind in ("mcc", "e") and len(parts) == 3 or kind == "class" and len(parts) >= 2):
+            raise GraphFormatError(f"line {lineno}: unknown record")
         try:
-            if parts[0] == "mcc" and len(parts) == 3:
-                header = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "class":
-                classes[int(parts[1])] = [int(x) for x in parts[2:]]
-            elif parts[0] == "e" and len(parts) == 3:
-                raw_edges.append((int(parts[1]), int(parts[2])))
-            else:
-                raise GraphFormatError(f"line {lineno}: unknown record")
+            ids = [int(x) for x in parts[1:]]
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field") from None
+        if kind == "mcc":
+            if min(ids) < 0:
+                raise GraphFormatError(f"line {lineno}: negative header field")
+            header = (ids[0], ids[1])
+        elif kind == "class":
+            classes[ids[0]] = ids[1:]
+        else:
+            raw_edges.append((ids[0], ids[1]))
     if header is None:
         raise GraphFormatError("missing mcc header")
     k, n = header

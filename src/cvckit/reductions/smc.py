@@ -72,6 +72,8 @@ def parse_smc(text: str) -> SmcInstance:
                 header = tuple(int(x) for x in parts[1:])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            if min(header) < 0:
+                raise GraphFormatError(f"line {lineno}: negative header field")
         elif parts[0] == "set":
             if header is None:
                 raise GraphFormatError(f"line {lineno}: set before header")

@@ -305,3 +305,15 @@ def test_bench_table_doubling(tmp_path, capsys):
                  "--extra", "0", "--json", str(report)]) == 0
     rows = json.loads(report.read_text())["rows"]
     assert rows[0]["max_table"] == 256 and rows[1]["max_table"] == 512
+
+
+def test_reduce_bare_class_line(tmp_path, capsys):
+    src = put(tmp_path, "g.mcc", "mcc 1 1\nclass\n")
+    assert_config_error(["reduce", "--type", "mcc-td", "--input", src,
+                         "--output", str(tmp_path / "td")], capsys)
+
+
+def test_reduce_smc_negative_header(tmp_path, capsys):
+    src = put(tmp_path, "s.smc", "smc 0 0 0 -1\n")
+    assert_config_error(["reduce", "--type", "smc", "--input", src,
+                         "--output", str(tmp_path / "s")], capsys)

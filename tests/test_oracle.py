@@ -232,3 +232,65 @@ def test_choice_groups_roundtrip():
     meta = ChoiceGroups(frozenset({1, 2}), (frozenset({3, 4}), frozenset({5})), frozenset({6}))
     parsed = parse_choice_groups(format_choice_groups(meta))
     assert parsed == meta
+
+
+# --- solve_pruned: cover branching over twin classes ----------------------
+
+def with_pendant_bundles(rng, g):
+    """``g`` with 0-4 extra leaves on up to two of its vertices, every
+    capacity redrawn from 0..deg."""
+    edges, n = list(g.edges), g.n
+    for centre in rng.sample(range(1, g.n + 1), min(2, g.n)):
+        for _ in range(rng.randint(0, 4)):
+            n += 1
+            edges.append((centre, n))
+    bare = CapacitatedGraph.build(n, edges, [0] * (n + 1))
+    return bare.with_capacity([0] + [rng.randint(0, bare.deg(v)) for v in bare.vertices()])
+
+
+def planted_hubs(n, hubs, seed):
+    """Every edge touches one of ``hubs`` vertices 1..hubs, each of
+    capacity equal to its degree, so those hubs are a solution."""
+    rng = random.Random(seed)
+    edges = {(h, v) for v in range(hubs + 1, n + 1) for h in rng.sample(range(1, hubs + 1), rng.randint(1, 3))}
+    edges |= {(a, b) for a in range(1, hubs + 1) for b in range(a + 1, hubs + 1) if rng.random() < 0.3}
+    bare = CapacitatedGraph.build(n, edges, [0] * (n + 1))
+    caps = [bare.deg(v) if v <= hubs else rng.randint(0, bare.deg(v)) for v in bare.vertices()]
+    return bare.with_capacity([0] + caps)
+
+
+def test_pruned_agrees_with_exact_on_pendant_bundles():
+    rng = random.Random(2026)
+    for _ in range(300):
+        g = with_pendant_bundles(rng, random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7])))
+        minsize, _ = solve_exact(g)
+        for k in range(0, g.n + 2):
+            yes, cert = solve_pruned(g, k)
+            assert yes == (minsize <= k)
+            if yes:
+                rep = verify_orientation(g, cert)
+                assert rep.feasible and rep.size <= k
+
+
+def test_pruned_decides_planted_hubs_on_100_vertices():
+    g = planted_hubs(100, 10, 1)
+    assert min(g.deg(h) for h in range(1, 11)) > 10
+    yes, cert = solve_pruned(g, 10)
+    rep = verify_orientation(g, cert)
+    assert yes and rep.feasible and rep.size <= 10
+    assert solve_pruned(g, 9) == (False, None)
+
+
+def test_pruned_refuses_before_any_assignment(monkeypatch):
+    calls = []
+
+    def counting(g, sel):
+        calls.append(sel)
+        return assign_edges(g, sel)
+
+    monkeypatch.setattr(oracle, "assign_edges", counting)
+    with pytest.raises(CapExceededError):
+        solve_pruned(gnp(30, 0.3, 1), 22)  # too many branch leaves
+    with pytest.raises(CapExceededError):
+        solve_pruned(planted_hubs(100, 10, 1), 14)  # one cover, too many count vectors
+    assert calls == []
