@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby
+from itertools import combinations, groupby
 from typing import Sequence
 
 from .core import (
@@ -150,23 +150,23 @@ def solve_exact(
 # ---------------------------------------------------------------------------
 # decision by solution size
 
-def _count_vectors(limits: Sequence[int], room: Sequence[int], total: int, first: int = 0):
-    """Yield as {i: count > 0} each vector with entry i in [0, limits[i]],
-    zero before ``first`` and sum exactly ``total``, where room[i] =
-    sum(limits[i:]).  One recursion level per nonzero entry."""
-    if total == 0:
-        yield {}
-        return
-    for i in range(first, len(limits)):
-        if room[i] < total:
-            return
-        for c in range(1, min(limits[i], total) + 1):
-            for rest in _count_vectors(limits, room, total - c, i + 1):
-                yield {i: c, **rest}
+def _count_vectors(limits: Sequence[int], total: int):
+    """Yield as {i: count > 0} each vector with entry i in 0..limits[i] and
+    sum min(total, sum(limits)), depth first on an explicit stack."""
+    # (vector so far, next entry i, sum still to place, sum(limits[i:]))
+    stack = [({}, 0, min(total, sum(limits)), sum(limits))]
+    while stack:
+        vector, i, need, left = stack.pop()
+        if need == 0:
+            yield vector
+        elif left >= need:  # else entries i.. cannot place it
+            stack.append((vector, i + 1, need, left - limits[i]))
+            stack.extend(({**vector, i: c}, i + 1, need - c, left - limits[i]) for c in range(min(limits[i], need), 0, -1))
 
 
 def _vector_count(limits: Sequence[int], total: int) -> int:
     """How many vectors ``_count_vectors`` yields, by a DP over the entries."""
+    total = min(total, sum(limits))
     ways = [1] + [0] * total  # ways[t]: vectors over the entries so far with sum t
     for lim in limits:
         ways = [sum(ways[max(t - lim, 0):t + 1]) for t in range(total + 1)]
@@ -174,23 +174,22 @@ def _vector_count(limits: Sequence[int], total: int) -> int:
 
 
 def _covers(g: CapacitatedGraph, forced: frozenset[int], k: int):
-    """Yield, once each, the vertex covers C of at most k vertices of
-    capacity >= 1 that branching from ``forced`` lists (on the first
-    uncovered edge (u, v): u is in, or u is out and N(u) is in), with the
-    twin classes outside C (vertices that can receive an edge, grouped by
-    neighbourhood, by decreasing capacity) and their sizes."""
+    """Yield once each node of the branching from ``forced`` on the first
+    uncovered edge (u, v), u in or u out and N(u) in, over at most k vertices
+    of capacity >= 1: a cover C with its twin classes (vertices of capacity
+    >= 1 outside C by neighbourhood, by decreasing capacity), others with None."""
     stack = [forced]
     while stack:
         sel = stack.pop()
         edge = next((e for e in g.edges if e[0] not in sel and e[1] not in sel), None)
-        if edge is not None:
-            for branch in (sel.union(g.neighbors(edge[0])), sel | {edge[0]}):
-                if len(branch) <= k and all(g.capacity[v] for v in branch - sel):
-                    stack.append(branch)
+        if edge is None:
+            outside = sorted((v for v in g.vertices() if v not in sel and g.capacity[v]), key=g.neighbors)
+            yield sel, [sorted(c, key=lambda v: (-g.capacity[v], v)) for _, c in groupby(outside, g.neighbors)]
             continue
-        outside = sorted((v for v in g.vertices() if v not in sel and g.capacity[v]), key=g.neighbors)
-        twins = [sorted(c, key=lambda v: (-g.capacity[v], v)) for _, c in groupby(outside, g.neighbors)]
-        yield sel, twins, [len(c) for c in twins]
+        yield sel, None
+        for branch in (sel.union(g.neighbors(edge[0])), sel | {edge[0]}):
+            if len(branch) <= k and all(g.capacity[v] for v in branch - sel):
+                stack.append(branch)
 
 
 def solve_pruned(
@@ -203,9 +202,9 @@ def solve_pruned(
     outside C are interchangeable (a selected one can hand its edges to an
     unselected one of at least its capacity) and feasibility only grows
     with the selection, so one assignment call per count vector of twins,
-    highest capacity first, min(k - |C|, all) in total.  Before the first
-    call it refuses (``CapExceededError``) when 2^(k - forced) branch
-    leaves or all count vectors, times m + 1, exceed ``search_cap``.
+    highest capacity first, min(k - |C|, all) in total.  Refuses
+    (``CapExceededError``) before any such call once the branch nodes and
+    the vectors, times m + 1, exceed ``search_cap``.
     """
     g = normalize_capacities(g)
     k = min(k, sum(1 for v in g.vertices() if g.capacity[v]))  # no support is larger
@@ -213,16 +212,15 @@ def solve_pruned(
     if len(forced) > k or not all(g.capacity[v] for v in forced):
         return False, None
     unit = len(g.edges) + 1
-    if unit << (k - len(forced)) > search_cap:
-        raise CapExceededError(f"pruned search above {search_cap}: 2^{k - len(forced)} covers")
-    vectors = 0
-    for cover, _, limits in _covers(g, forced, k):
-        vectors += _vector_count(limits, min(k - len(cover), sum(limits)))
-        if vectors * unit > search_cap:
-            raise CapExceededError(f"pruned search above {search_cap}: {vectors}+ count vectors")
-    for cover, twins, limits in _covers(g, forced, k):
-        room = list(accumulate(reversed(limits)))[::-1]
-        for counts in _count_vectors(limits, room, min(k - len(cover), sum(limits))):
+    work = 0
+    for cover, twins in _covers(g, forced, k):
+        work += 1 if twins is None else 1 + _vector_count([len(c) for c in twins], k - len(cover))
+        if work * unit > search_cap:
+            raise CapExceededError(f"pruned search above {search_cap}: {work}+ branch nodes and count vectors")
+    for cover, twins in _covers(g, forced, k):
+        if twins is None:
+            continue
+        for counts in _count_vectors([len(c) for c in twins], k - len(cover)):
             o = assign_edges(g, cover.union(*(twins[i][:c] for i, c in counts.items())))
             if o is not None:
                 return True, o

@@ -22,6 +22,7 @@ from cvckit.oracle import (
     solve_exact,
     solve_pruned,
 )
+from cvckit.reductions.smc import SmcInstance, reduce_smc
 from bruteforce import brute_min_orientation
 
 
@@ -290,7 +291,29 @@ def test_pruned_refuses_before_any_assignment(monkeypatch):
 
     monkeypatch.setattr(oracle, "assign_edges", counting)
     with pytest.raises(CapExceededError):
-        solve_pruned(gnp(30, 0.3, 1), 22)  # too many branch leaves
+        solve_pruned(gnp(30, 0.3, 1), 25)  # too many branch nodes
     with pytest.raises(CapExceededError):
         solve_pruned(planted_hubs(100, 10, 1), 14)  # one cover, too many count vectors
     assert calls == []
+
+
+def test_count_vectors_has_no_recursion_depth_limit():
+    assert list(oracle._count_vectors([1] * 1500, 1500)) == [dict.fromkeys(range(1500), 1)]
+
+
+def test_pruned_answers_a_forced_centre_at_any_k():
+    # centre 1 takes 10 of its 30 edges, so 20 leaves must take the rest
+    star = graph(31, [(1, v) for v in range(2, 32)], {1: 10, **{v: 1 for v in range(2, 32)}})
+    for k in range(18, 32):
+        yes, cert = solve_pruned(star, k)
+        assert yes == (k >= 21)
+        if yes:
+            rep = verify_orientation(star, cert)
+            assert rep.feasible and rep.size <= k
+
+
+def test_pruned_answers_smc_with_identical_sets():
+    red = reduce_smc(SmcInstance(2, (frozenset({1, 2}),) * 20, 1, 16))
+    yes, cert = solve_pruned(red.graph, red.budget)
+    rep = verify_orientation(red.graph, cert)
+    assert yes and rep.feasible and rep.size <= red.budget
