@@ -16,7 +16,6 @@ from pathlib import Path
 from .core import (
     CapacitatedGraph,
     CapExceededError,
-    GraphFormatError,
     StructuralError,
     format_instance,
     format_orientation,
@@ -34,7 +33,8 @@ from .cutwidth import (
     solve_cutdp_detailed,
 )
 from .detecting import build_family, format_family, is_detecting, parse_family
-from .fes import feedback_edge_set, solve_fes
+from .fes import DEFAULT_FES_CAP as AUTO_FES_CAP  # read by cvcbench/workloads.py
+from .fes import solve_fes
 from .generators import gnp, layered_with_ctw, sparse_with_fes
 from .oracle import (
     format_choice_groups,
@@ -48,11 +48,6 @@ from .reductions.mcc import format_witness, parse_mcc, parse_witness, reduce_mcc
 from .reductions.sat import group_formula, parse_dimacs, reduce_sat_cw, reduce_sat_natural
 from .reductions.smc import parse_smc, reduce_smc
 from .vertex_integrity import parse_modulator, solve_vi, solve_vi_opt
-
-AUTO_FES_CAP = 22
-AUTO_CUTDP_CAP = 20
-AUTO_ORACLE_CAP = 20
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -86,36 +81,35 @@ def _certificate_holds(g: CapacitatedGraph, cert, minsize, k) -> bool:
     return report.size == minsize if minsize is not None else report.size <= k
 
 
+# Minimum-size solvers; `auto` tries them in this order and answers with the
+# first that does not refuse by its own cap (`CapExceededError`).
+MINIMIZERS = {
+    "fes": lambda g, args: solve_fes(g),
+    "cutdp": lambda g, args: solve_cutdp(g, _load_arrangement(g, args)),
+    "oracle": lambda g, args: solve_exact(g),
+}
+
+
 def _solve(args) -> int:
     g = parse_instance(_read(args.input))
     k = args.k if args.k is not None else g.budget
     algo = args.algo
 
-    arr = None  # the heuristic order `auto` routed on, reused by the cut DP
-    if algo == "auto":
-        if len(feedback_edge_set(g)) <= AUTO_FES_CAP:
-            algo = "fes"
-        else:
-            arr = find_arrangement(g, "heuristic")
-            if cutwidth_of(g, arr) <= AUTO_CUTDP_CAP:
-                algo = "cutdp"
-            elif g.n <= AUTO_ORACLE_CAP:
-                algo = "oracle"
-            else:
-                print("error: instance exceeds every automatic solver cap", file=sys.stderr)
-                return 2
-
     decision = None
     minsize = None
     cert = None
-    if algo == "oracle":
-        minsize, cert = solve_exact(g)
-    elif algo == "fes":
-        minsize, cert = solve_fes(g)
-    elif algo == "cutdp":
-        if arr is None or args.arrangement or args.find_arrangement:
-            arr = _load_arrangement(g, args)
-        minsize, cert = solve_cutdp(g, arr)
+    if algo == "auto":
+        for algo, minimize in MINIMIZERS.items():
+            try:
+                minsize, cert = minimize(g, args)
+                break
+            except CapExceededError:
+                continue
+        else:
+            print("error: instance exceeds every automatic solver cap", file=sys.stderr)
+            return 2
+    elif algo in MINIMIZERS:
+        minsize, cert = MINIMIZERS[algo](g, args)
     elif algo == "vi":
         modulator = parse_modulator(_read(args.modulator)) if args.modulator else None
         if k is None:
@@ -282,18 +276,14 @@ def _verify(args) -> int:
 
 
 def _gen(args) -> int:
-    try:
-        if args.model == "gnp":
-            g = gnp(args.n, args.p, args.seed)
-        elif args.model == "sparse":
-            g = sparse_with_fes(args.n, args.fes, args.seed)
-        elif args.model == "layered":
-            g = layered_with_ctw(args.n, args.ctw, args.seed, extra=args.extra)
-        else:
-            print(f"error: unknown model '{args.model}'", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.model == "gnp":
+        g = gnp(args.n, args.p, args.seed)
+    elif args.model == "sparse":
+        g = sparse_with_fes(args.n, args.fes, args.seed)
+    elif args.model == "layered":
+        g = layered_with_ctw(args.n, args.ctw, args.seed, extra=args.extra)
+    else:
+        print(f"error: unknown model '{args.model}'", file=sys.stderr)
         return 2
     _write(args.output, format_instance(g))
     if args.arrangement_out:
@@ -425,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, StructuralError, CapExceededError, OSError, UnicodeDecodeError) as exc:
+    except (ValueError, CapExceededError, OSError) as exc:  # ValueError covers parse, structure and decode errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from .core import (
 )
 
 INF = math.inf
-MAX_CUT_BITS = 26  # table-size guard: one layer may hold at most 2^26 entries
+MAX_CUT_BITS = 20  # widest arrangement the cut DP runs on: a layer holds 2^width entries
 DEFAULT_EXACT_ARRANGEMENT_CAP = 16
 
 
@@ -140,8 +140,6 @@ class DpLayer:
 
 def _scatter_table(width: int, positions: Sequence[int]) -> list[int]:
     """scatter[m] places bit j of m at target bit positions[j]."""
-    if width == 0:
-        return [0]
     bitvals = [1 << p for p in positions]
     out = [0] * (1 << width)
     for m in range(1, 1 << width):
@@ -168,8 +166,6 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
     v = arr.order[i - 1]
     cap_v = g.capacity[v]
     cur_edges = cut_edges(g, arr, i)
-    if len(cur_edges) > MAX_CUT_BITS or len(prev.edges) > MAX_CUT_BITS:
-        raise CapExceededError(f"cut of {len(cur_edges)} edges exceeds the table guard")
 
     np_ = len(prev.edges)
     nq = len(cur_edges)
@@ -187,8 +183,8 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
     r_scatter = _scatter_table(nr, [cur_bit[e] for e in right_out])
 
     pv = prev.values
-    values = array("q", [-1]) * (1 << nq) if nq else array("q", [-1])
-    preds = array("q", [-1]) * (1 << nq) if nq else array("q", [-1])
+    values = array("q", [-1]) * (1 << nq)
+    preds = array("q", [-1]) * (1 << nq)
 
     NL, NR = 1 << nl, 1 << nr
     work = 0
@@ -207,18 +203,9 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
             if bv < 0 or val < bv or (val == bv and sp < bucket_s[t]):
                 bucket_v[t] = val
                 bucket_s[t] = sp
-        # prefix minima over the bucket index, with the lexicographically
+        # prefix minima over buckets 1..t, with the lexicographically
         # smallest predecessor signature breaking ties
-        pm_v = [-1] * (nl + 1)
-        pm_s = [-1] * (nl + 1)
-        run_v, run_s = -1, -1
-        for t in range(nl + 1):
-            bv, bs = bucket_v[t], bucket_s[t]
-            if bv >= 0 and (run_v < 0 or bv < run_v or (bv == run_v and bs < run_s)):
-                run_v, run_s = bv, bs
-            pm_v[t] = run_v
-            pm_s[t] = run_s
-        pp_v = [-1] * (nl + 1)  # same, restricted to t >= 1
+        pp_v = [-1] * (nl + 1)
         pp_s = [-1] * (nl + 1)
         run_v, run_s = -1, -1
         for t in range(1, nl + 1):
@@ -233,26 +220,21 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
             if rem < 0:
                 continue
             tmax = rem if rem < nl else nl
-            if b > 0:
-                val = pm_v[tmax]
-                if val < 0:
-                    continue
-                sq = tsq | r_scatter[rm]
-                values[sq] = val + 1
-                preds[sq] = pm_s[tmax]
-            else:
-                cand_v, cand_s = bucket_v[0], bucket_s[0]
-                alt = pp_v[tmax]
-                if alt >= 0:
-                    alt += 1
-                    if cand_v < 0 or alt < cand_v or (alt == cand_v and pp_s[tmax] < cand_s):
-                        cand_v, cand_s = alt, pp_s[tmax]
-                if cand_v < 0:
-                    continue
-                sq = tsq | r_scatter[rm]
-                values[sq] = cand_v
-                preds[sq] = cand_s
-        work += NL + NR + 2 * (nl + 1)
+            # bucket 0 occupies v only through right edges; buckets 1..tmax always do
+            val, sp = bucket_v[0], bucket_s[0]
+            if val >= 0 and b > 0:
+                val += 1
+            alt = pp_v[tmax]
+            if alt >= 0:
+                alt += 1
+                if val < 0 or alt < val or (alt == val and pp_s[tmax] < sp):
+                    val, sp = alt, pp_s[tmax]
+            if val < 0:
+                continue
+            sq = tsq | r_scatter[rm]
+            values[sq] = val
+            preds[sq] = sp
+        work += NL + NR + nl + 1
     work += (1 << nc) + NL + NR  # scatter-table construction
     return DpLayer(i, cur_edges, values, preds, work)
 
@@ -260,9 +242,16 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
 def solve_cutdp_detailed(
     g: CapacitatedGraph, arr: LinearArrangement
 ) -> tuple[int | float, Orientation | None, list[DpLayer]]:
-    """Run the full DP and keep every layer for inspection/reconstruction."""
+    """Run the full DP and keep every layer for inspection/reconstruction.
+
+    Refuses with ``CapExceededError`` before the first layer when the
+    arrangement's cutwidth is above ``MAX_CUT_BITS``.
+    """
     if len(arr) != g.n:
         raise StructuralError("arrangement size does not match the instance")
+    width = cutwidth_of(g, arr)
+    if width > MAX_CUT_BITS:
+        raise CapExceededError(f"arrangement cutwidth {width} above cap {MAX_CUT_BITS}")
     g = normalize_capacities(g)
     layers = [base_layer()]
     for i in range(1, g.n + 1):

@@ -1,8 +1,13 @@
 import json
 
+import pytest
+
 import cvckit.cli as cli
+import cvckit.cutwidth as cutwidth
+import cvckit.fes as fes
 from cvckit.cli import main
-from cvckit.core import Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
+from cvckit.core import CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
+from cvckit.cutwidth import LinearArrangement, format_arrangement
 from cvckit.fes import feedback_edge_set
 from cvckit.generators import layered_with_ctw
 
@@ -317,3 +322,60 @@ def test_reduce_smc_negative_header(tmp_path, capsys):
     src = put(tmp_path, "s.smc", "smc 0 0 0 -1\n")
     assert_config_error(["reduce", "--type", "smc", "--input", src,
                          "--output", str(tmp_path / "s")], capsys)
+
+
+def complete(n, cap):
+    lines = [f"cvc {n} {n * (n - 1) // 2}"] + [f"v {v} {cap}" for v in range(1, n + 1)]
+    lines += [f"e {u} {v}" for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, algo", [
+    (TRIANGLE, "fes"),
+    (complete(12, 6), "oracle"),
+    (format_instance(layered_with_ctw(30, 4, 0, extra=20)), "cutdp"),
+])
+def test_auto_answers_with_first_solver_that_accepts(tmp_path, capsys, text, algo):
+    inp = put(tmp_path, "g.cvc", text)
+    report = tmp_path / "r.json"
+    assert main(["solve", "--input", inp, "--algo", "auto", "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["algo"] == algo
+
+
+def test_auto_refused_by_every_solver(tmp_path, capsys):
+    inp = put(tmp_path, "k21.cvc", complete(21, 10))
+    assert main(["solve", "--input", inp, "--algo", "auto"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: instance exceeds every automatic solver cap\n"
+    assert captured.out == ""
+
+
+def test_cutdp_refuses_wide_arrangement_before_first_layer(tmp_path, capsys, monkeypatch):
+    g = layered_with_ctw(42, 21, 0)
+    arr = LinearArrangement(tuple(range(1, g.n + 1)))
+    assert cutwidth.cutwidth_of(g, arr) == 21
+
+    def never(*args):
+        raise AssertionError("process_layer called above the width cap")
+
+    monkeypatch.setattr(cutwidth, "process_layer", never)
+    with pytest.raises(CapExceededError, match="21.*20"):
+        cutwidth.solve_cutdp(g, arr)
+    inp = put(tmp_path, "w.cvc", format_instance(g))
+    arr_path = put(tmp_path, "w.arr", format_arrangement(arr))
+    assert_config_error(["solve", "--input", inp, "--algo", "cutdp", "--arrangement", arr_path], capsys)
+
+
+def test_cli_keeps_no_solver_cap_of_its_own():
+    assert cli.AUTO_FES_CAP == fes.DEFAULT_FES_CAP
+    assert not hasattr(cli, "AUTO_CUTDP_CAP") and not hasattr(cli, "AUTO_ORACLE_CAP")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--ctw-min", "5", "--ctw-max", "5", "--n", "4"],
+    ["bench", "--ctw-min", "0", "--ctw-max", "0"],
+    ["verify", "--type", "family", "--family", "{fam}", "--universe", "2", "--d", "0"],
+])
+def test_value_error_is_a_config_error(tmp_path, capsys, argv):
+    fam = put(tmp_path, "fam.txt", "1\n2\n")
+    assert_config_error([arg.format(fam=fam) for arg in argv], capsys)

@@ -221,3 +221,41 @@ def test_exact_arrangement_refuses_above_cap():
 def test_arrangement_file_roundtrip():
     arr = LinearArrangement((3, 1, 2))
     assert parse_arrangement(format_arrangement(arr)) == arr
+
+
+def _directions(edges, sig):
+    k = len(edges)
+    return {e: (sig >> (k - 1 - idx)) & 1 for idx, e in enumerate(edges)}
+
+
+def test_layer_entries_match_brute_force_transition():
+    """Each entry is the lexicographic min of (value + [v occupied], predecessor
+    signature) over the predecessors that agree on the common edges and keep
+    v within capacity, or (-1, -1) when there is none."""
+    rng = random.Random(53)
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        edges = [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1) if rng.random() < 0.45]
+        deg = {x: sum(x in e for e in edges) for x in range(1, n + 1)}
+        g = graph(n, edges, {x: rng.randint(0, deg[x] + 1) for x in range(1, n + 1)})
+        arr = random_arrangement(rng, n)
+        _, _, layers = solve_cutdp_detailed(g, arr)
+        for i in range(1, n + 1):
+            prev, cur, v = layers[i - 1], layers[i], arr.order[i - 1]
+            prev_dirs = [_directions(prev.edges, sp) for sp in range(prev.table_size)]
+            for sq in range(cur.table_size):
+                here = _directions(cur.edges, sq)
+                # bit 1 points an edge at its right endpoint
+                into_v = sum(1 for (left, _), bit in here.items() if left == v and bit == 0)
+                best = (-1, -1)
+                for sp, there in enumerate(prev_dirs):
+                    val = prev.values[sp]
+                    if val < 0 or any(here.get(e, bit) != bit for e, bit in there.items()):
+                        continue
+                    indeg = into_v + sum(bit for (_, right), bit in there.items() if right == v)
+                    if indeg > g.capacity[v]:
+                        continue
+                    cand = (val + (indeg > 0), sp)
+                    if best[0] < 0 or cand < best:
+                        best = cand
+                assert (cur.values[sq], cur.preds[sq]) == best
