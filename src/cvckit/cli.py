@@ -295,7 +295,6 @@ def _gen(args) -> int:
 def _bench(args) -> int:
     rows = []
     violated = False
-    print("n m ctw max_table work fitted_c seconds")
     for ctw in range(args.ctw_min, args.ctw_max + 1):
         n = args.n if args.n else max(2 * ctw, 8)
         g = layered_with_ctw(n, ctw, args.seed, extra=args.extra)
@@ -312,6 +311,8 @@ def _bench(args) -> int:
             fitted = max(fitted, ratio)
             if layers[i].work > 2 * bound:
                 violated = True
+        if not rows:  # the header waits for a first row, so a refusal leaves stdout empty
+            print("n m ctw max_table work fitted_c seconds")
         rows.append(
             {
                 "n": g.n,

@@ -9,6 +9,14 @@ ask whether the edges fit into a chosen vertex set (``orient_into``):
 edges with one chosen endpoint are folded onto it, and the rest are
 placed by augmenting paths.
 
+Instance and certificate files are line-oriented records, read line by
+line with ``#`` comments and line numbers in every error.  Text in
+exactly the shape the formatters write (a header, then lines ``<kw>
+<digits> <digits>``, each ended by a newline) is read in one pass
+instead, with its columns checked in bulk; any other text, and any text
+that fails a bulk check, is read by the per-line code, which alone
+decides every error and its message.
+
 All objects here are immutable after construction and every operation is
 a pure function of its inputs, so instances can be shared freely across
 threads or worker processes.
@@ -16,6 +24,8 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -71,6 +81,17 @@ class CapacitatedGraph:
                     raise StructuralError(f"duplicate edge ({u},{v})")
                 raise StructuralError("edges not in canonical order")
             prev = e
+
+    @classmethod
+    def _trusted(
+        cls, n: int, edges: tuple[Edge, ...], capacity: tuple[int, ...], budget: int | None
+    ) -> "CapacitatedGraph":
+        """A graph whose fields the caller has already checked: n >= 0, one
+        capacity per vertex, edges canonical, in range and strictly
+        increasing.  Skips the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, capacity=capacity, budget=budget)
+        return g
 
     def _check_capacity(self) -> None:
         if len(self.capacity) != self.n + 1:
@@ -322,13 +343,88 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
+_PLAIN_LINES = re.compile(r"(?:[a-z]+ [0-9]+ [0-9]+\n)*")
+
+
+def _plain_records(text: str, *blocks: tuple[str, int]) -> list[tuple[list[int], list[int]]] | None:
+    """The two integer columns of each block of ``text``, or None.
+
+    ``text`` qualifies when it is exactly the blocks in order, block
+    ``(kw, count)`` being ``count`` lines ``<kw> <digits> <digits>``, each
+    ended by a newline: no comment, blank line, other whitespace, sign or
+    non-ASCII digit.  The line count is compared first, so that nothing of
+    a declared size is read or allocated before the text is known to hold
+    that many lines.
+    """
+    if text.count("\n") != sum(count for _, count in blocks) or _PLAIN_LINES.fullmatch(text) is None:
+        return None
+    tokens = text.split()
+    columns = []
+    start = 0
+    for kw, count in blocks:
+        stop = start + 3 * count
+        if tokens[start:stop:3].count(kw) != count:
+            return None
+        try:
+            columns.append((list(map(int, tokens[start + 1:stop:3])), list(map(int, tokens[start + 2:stop:3]))))
+        except ValueError:  # more digits than int() converts
+            return None
+        start = stop
+    return columns
+
+
+_PLAIN_HEADER = re.compile(r"cvc ([0-9]+) ([0-9]+)(?: ([0-9]+))?")
+
+
+def _parse_plain_instance(text: str) -> CapacitatedGraph | None:
+    """The graph of an instance file in the shape ``format_instance``
+    writes (vertex lines 1..n in order, then canonical edges in strictly
+    increasing order), or None for any other text."""
+    head, _, body = text.partition("\n")
+    header = _PLAIN_HEADER.fullmatch(head)
+    if header is None:
+        return None
+    try:
+        n, m = int(header[1]), int(header[2])
+        budget = None if header[3] is None else int(header[3])
+    except ValueError:  # more digits than int() converts
+        return None
+    records = _plain_records(body, ("v", n), ("e", m))
+    if records is None:
+        return None
+    (ids, caps), (us, vs) = records
+    edges = list(zip(us, vs))
+    if (
+        ids != list(range(1, n + 1))
+        or min(us, default=1) < 1
+        or max(vs, default=0) > n
+        or not all(map(operator.lt, us, vs))
+        or not all(map(operator.lt, edges, edges[1:]))
+    ):
+        return None
+    # Capacities are digits, so non-negative; with the checks above this is
+    # every condition of ``CapacitatedGraph.__post_init__``.
+    return CapacitatedGraph._trusted(n, tuple(edges), (0, *caps), budget)
+
+
 def parse_instance(text: str) -> CapacitatedGraph:
     """Parse the line-oriented instance format.
 
     Header ``cvc <n> <m>`` with an optional trailing budget, then ``v <id>
     <capacity>`` for every vertex and ``e <u> <v>`` per edge.  ``#`` starts
     a comment.  Errors carry the offending line number.
+
+    Text exactly as ``format_instance`` writes it is read in one pass and
+    checked column by column; any other text, or text that fails one of
+    those checks, is read line by line, which accepts the same graphs and
+    gives every error.
     """
+    g = _parse_plain_instance(text)
+    return g if g is not None else _parse_instance_lines(text)
+
+
+def _parse_instance_lines(text: str) -> CapacitatedGraph:
+    """``parse_instance`` one line at a time, with every error and its line."""
     lines = list(_content_lines(text))
     if not lines:
         raise GraphFormatError("empty instance")
@@ -390,7 +486,8 @@ def parse_instance(text: str) -> CapacitatedGraph:
         raise GraphFormatError(f"missing capacity line for vertex {missing[0]}")
     if len(edges) != m:
         raise GraphFormatError(f"declared {m} edges, found {len(edges)}")
-    return CapacitatedGraph(n, tuple(sorted(edges)), tuple([0] + [int(c) for c in caps[1:]]), budget)
+    # Every edge is checked above: canonical, in range and, once sorted, strictly increasing.
+    return CapacitatedGraph._trusted(n, tuple(sorted(edges)), (0, *caps[1:]), budget)
 
 
 def format_instance(g: CapacitatedGraph) -> str:
@@ -404,7 +501,24 @@ def format_instance(g: CapacitatedGraph) -> str:
 
 
 def parse_orientation(text: str, g: CapacitatedGraph) -> Orientation:
-    """Parse an ``a <tail> <head>`` certificate against an instance."""
+    """Parse an ``a <tail> <head>`` certificate against an instance.
+
+    Text in the plain shape (one ``a`` line per instance edge and nothing
+    else) is read in one pass; any other text is read line by line.
+    """
+    records = _plain_records(text, ("a", len(g.edges)))
+    if records is not None:
+        [(tails, heads)] = records
+        arcs = dict(zip([(t, h) if t < h else (h, t) for t, h in zip(tails, heads)], heads))
+        # as many lines as edges: equal key sets mean every arc lies over an
+        # edge and none is repeated
+        if arcs.keys() == g.edge_set:
+            return Orientation(arcs)
+    return _parse_orientation_lines(text, g)
+
+
+def _parse_orientation_lines(text: str, g: CapacitatedGraph) -> Orientation:
+    """``parse_orientation`` one line at a time, with every error and its line."""
     heads: dict[Edge, int] = {}
     for lineno, parts in _content_lines(text):
         if parts[0] != "a" or len(parts) != 3:

@@ -26,6 +26,7 @@ from .core import (
     GraphFormatError,
     Orientation,
     StructuralError,
+    _augment,
     _content_lines,
     _fold,
     assign_edges,
@@ -285,7 +286,8 @@ def solve_canonical(
     still_open.reverse()
 
     def feasible(selection: frozenset[int]) -> bool:
-        return orient_into(core_edges, residual, selection) is not None
+        folded = _fold(core_edges, residual, selection)
+        return folded is not None and _augment(*folded) is not None
 
     # feasibility is monotone in the selection, so only maximal
     # affordable free subsets need checking
@@ -308,7 +310,7 @@ def solve_canonical(
                     break
     if found is None:
         return False, None
-    orientation = assign_edges(g, found)
-    if orientation is None:  # cannot happen: core feasibility implies full feasibility
+    heads = orient_into(g.edges, g.capacity, found)
+    if heads is None:  # cannot happen: core feasibility implies full feasibility
         raise AssertionError("canonical selection lost feasibility on the full graph")
-    return True, orientation
+    return True, Orientation(heads)

@@ -16,7 +16,7 @@ grows linearly in the class count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError, _content_lines
+from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _plain_records
 from ..oracle import ChoiceGroups
 from ._builder import Builder
 
@@ -90,6 +90,20 @@ def verify_td_witness(g: CapacitatedGraph, witness: TreedepthWitness) -> tuple[b
 
 
 def parse_witness(text: str) -> TreedepthWitness:
+    """Parse ``parent <v> <p|0>`` lines.  Text in the plain shape, one such
+    line per newline and nothing else, is read in one pass; any other text
+    is read line by line."""
+    records = _plain_records(text, ("parent", text.count("\n")))
+    if records is not None:
+        [(vertices, parents)] = records
+        parent = dict(zip(vertices, parents))
+        if len(parent) == len(vertices):  # no vertex listed twice
+            return TreedepthWitness(parent)
+    return _parse_witness_lines(text)
+
+
+def _parse_witness_lines(text: str) -> TreedepthWitness:
+    """``parse_witness`` one line at a time, with every error and its line."""
     parent: dict[int, int] = {}
     for lineno, parts in _content_lines(text):
         if parts[0] != "parent" or len(parts) != 3:

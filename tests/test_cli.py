@@ -379,3 +379,14 @@ def test_cli_keeps_no_solver_cap_of_its_own():
 def test_value_error_is_a_config_error(tmp_path, capsys, argv):
     fam = put(tmp_path, "fam.txt", "1\n2\n")
     assert_config_error([arg.format(fam=fam) for arg in argv], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--ctw-min", "21", "--ctw-max", "21"],
+    ["bench", "--ctw-min", "0", "--ctw-max", "0"],
+])
+def test_bench_config_error_leaves_stdout_empty(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
