@@ -5,11 +5,13 @@ so each layer holds exactly 2^{|crossing set|} values: the minimum number
 of already-placed vertices with positive in-degree, over orientations that
 agree with the assignment and respect capacities on the placed prefix.
 
-The layer transition first fixes the directions of the edges that survive
-from the previous cut, then buckets predecessors by how many edges enter
-the new vertex from the left, so one layer costs time proportional to
-2^{|prev cut|} + 2^{|cut|} times a small polynomial instead of the naive
-product of both table sizes.
+Each layer is built from the previous cut.  The edges ending at the new
+vertex leave it; the kept edges move, in their order, to the high bits of
+the signature, and the edges from the new vertex to later ones fill the
+low bits.  The transition first fixes the kept edges' directions, then
+buckets predecessors by how many edges enter the new vertex from the left,
+so one layer costs time proportional to 2^{|prev cut|} + 2^{|cut|} times a
+small polynomial instead of the naive product of both table sizes.
 """
 
 from __future__ import annotations
@@ -155,42 +157,41 @@ def base_layer() -> DpLayer:
 
 
 def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i: int) -> DpLayer:
-    """Advance the DP across the vertex at position i.
+    """Advance the DP across the vertex v at position i, from the previous cut.
 
-    Splits the previous cut into edges that persist (their direction is
-    fixed first), edges ending at the new vertex (bucketed by how many
-    point at it), and new edges leaving it (scanned once per target).
+    The edges of the previous cut that end at v are bucketed by how many
+    point at v; the kept ones have their directions fixed first.  The new
+    cut, ``cut_edges(g, arr, i)``, is the kept edges in their order followed
+    by the edges (v, w), w after v, by w's position.  So the ``nc`` kept
+    edges fill the high bits and the ``nr`` new edges the low bits: kept
+    pattern ``ti`` (bit j is the j-th lowest kept bit of the previous cut)
+    with new-edge bits ``rm`` is entry ``(ti << nr) | rm``.
     """
     if prev.cut_index != i - 1:
         raise StructuralError("layers must be processed in position order")
     v = arr.order[i - 1]
     cap_v = g.capacity[v]
-    cur_edges = cut_edges(g, arr, i)
+    pos = arr.position
 
-    np_ = len(prev.edges)
-    nq = len(cur_edges)
-    prev_bit = {e: np_ - 1 - idx for idx, e in enumerate(prev.edges)}
-    cur_bit = {e: nq - 1 - idx for idx, e in enumerate(cur_edges)}
+    low_first = list(enumerate(reversed(prev.edges)))  # (bit, edge) from bit 0 up
+    kept_bits = [bit for bit, (_, right) in low_first if right != v]
+    left_bits = [bit for bit, (_, right) in low_first if right == v]
+    kept = [e for e in prev.edges if e[1] != v]
+    new = [(v, w) for w in sorted((w for w in g.neighbors(v) if pos[w] > i), key=pos.__getitem__)]
+    nc, nl, nr = len(kept_bits), len(left_bits), len(new)
 
-    common = [e for e in prev.edges if e in cur_bit]
-    left_in = [e for e in prev.edges if e not in cur_bit]  # all end at v
-    right_out = [e for e in cur_edges if e not in prev_bit]  # all start at v
-    nc, nl, nr = len(common), len(left_in), len(right_out)
-
-    tau_prev = _scatter_table(nc, [prev_bit[e] for e in common])
-    tau_cur = _scatter_table(nc, [cur_bit[e] for e in common])
-    l_scatter = _scatter_table(nl, [prev_bit[e] for e in left_in])
-    r_scatter = _scatter_table(nr, [cur_bit[e] for e in right_out])
+    tau_prev = _scatter_table(nc, kept_bits)
+    l_scatter = _scatter_table(nl, left_bits)
 
     pv = prev.values
-    values = array("q", [-1]) * (1 << nq)
-    preds = array("q", [-1]) * (1 << nq)
+    values = array("q", [-1]) * (1 << (nc + nr))
+    preds = array("q", [-1]) * (1 << (nc + nr))
 
     NL, NR = 1 << nl, 1 << nr
     work = 0
     for ti in range(1 << nc):
         tsp = tau_prev[ti]
-        tsq = tau_cur[ti]
+        high = ti << nr
         bucket_v = [-1] * (nl + 1)
         bucket_s = [-1] * (nl + 1)
         for lm in range(NL):
@@ -231,12 +232,11 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
                     val, sp = alt, pp_s[tmax]
             if val < 0:
                 continue
-            sq = tsq | r_scatter[rm]
-            values[sq] = val
-            preds[sq] = sp
+            values[high | rm] = val
+            preds[high | rm] = sp
         work += NL + NR + nl + 1
-    work += (1 << nc) + NL + NR  # scatter-table construction
-    return DpLayer(i, cur_edges, values, preds, work)
+    work += (1 << nc) + NL  # scatter-table construction
+    return DpLayer(i, kept + new, values, preds, work)
 
 
 def solve_cutdp_detailed(
@@ -266,12 +266,12 @@ def solve_cutdp_detailed(
     for i in range(g.n, 0, -1):
         layer = layers[i]
         v = arr.order[i - 1]
-        k = len(layer.edges)
-        for idx, (left, right) in enumerate(layer.edges):
-            if left == v:  # edge introduced at this layer
-                bit = (sig >> (k - 1 - idx)) & 1
-                e = (left, right) if left < right else (right, left)
-                heads[e] = right if bit else left
+        # the edges introduced at this layer hold the low bits
+        for bit, (left, right) in enumerate(reversed(layer.edges)):
+            if left != v:
+                break
+            e = (left, right) if left < right else (right, left)
+            heads[e] = right if (sig >> bit) & 1 else left
         sig = layer.preds[sig]
     return minsize, Orientation(heads), layers
 
@@ -346,7 +346,7 @@ def _exact_arrangement(g: CapacitatedGraph) -> LinearArrangement:
     return LinearArrangement(tuple(order))
 
 
-def _heuristic_arrangement(g: CapacitatedGraph, *, passes: int = 3) -> LinearArrangement:
+def _heuristic_arrangement(g: CapacitatedGraph) -> LinearArrangement:
     n = g.n
     if n == 0:
         return LinearArrangement(())
@@ -368,19 +368,16 @@ def _heuristic_arrangement(g: CapacitatedGraph, *, passes: int = 3) -> LinearArr
                     queue.append(w)
     current = LinearArrangement(tuple(order))
     best_width = cutwidth_of(g, current)
-    for _ in range(passes):
-        improved = False
-        for v in list(current.order):
-            base = [w for w in current.order if w != v]
-            for slot in range(n):
-                cand = LinearArrangement(tuple(base[:slot] + [v] + base[slot:]))
-                w = cutwidth_of(g, cand)
-                if w < best_width:
-                    current, best_width = cand, w
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return current
+    while True:  # first-improvement reinsertion until no single move narrows the widest cut
+        better = next((c for c in _reinsertions(current) if cutwidth_of(g, c) < best_width), None)
+        if better is None:
+            return current
+        current, best_width = better, cutwidth_of(g, better)
+
+
+def _reinsertions(arr: LinearArrangement):
+    """Every arrangement one vertex move away: vertices in order, then slots."""
+    for v in arr.order:
+        base = [w for w in arr.order if w != v]
+        for slot in range(len(arr)):
+            yield LinearArrangement(tuple(base[:slot] + [v] + base[slot:]))

@@ -45,6 +45,9 @@ def is_detecting(
     if d ** (2 * universe_size) > check_cap:
         raise CapExceededError("detecting-family check too large for the configured cap")
     sets = [sorted(set(s)) for s in family]
+    outside = [x for s in sets for x in s if not 1 <= x <= universe_size]
+    if outside:
+        raise GraphFormatError(f"index {outside[0]} outside universe 1..{universe_size}")
     seen: set[tuple[int, ...]] = set()
     for values in product(range(d), repeat=universe_size):
         sig = tuple(sum(values[x - 1] for x in s) for s in sets)

@@ -99,19 +99,20 @@ def _root_forest(n: int, forest_edges) -> tuple[list[int], list[int], list[list[
     return roots, parent, children, order
 
 
-_DEAD = ((INF, ()), (INF, ()))  # a child subtree that fits neither way
+_DEAD = ((INF, 0), (INF, 0), (), ())  # a child subtree that fits neither way
 
 
-def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, tuple]:
+def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, tuple, list, list]:
     """Tree DP at one vertex, for its parent arc outward (pin 0) and inward (pin 1).
 
     ``room`` is cap(v) - preload(v), ``loaded`` says whether preload(v) > 0,
     and ``f[c]`` holds each child's (cost with its parent arc outward, cost
-    with it inward).  Returns ``(cost, inward children)`` per pin.  The best
-    set of inward child edges is the forced ones plus a prefix of the
-    others sorted by cost delta: flipping a child edge inward changes the
-    subtree cost by f(child, outward) - f(child, inward), and for a fixed
-    count the smallest deltas are optimal by exchange.
+    with it inward).  Returns ``(cost, taken)`` per pin, then the forced
+    children and the flippable ones as (cost delta, child) sorted by delta.
+    The best set of inward child edges for a pin is the forced ones plus
+    the first ``taken`` flippable ones: flipping a child edge inward changes
+    the subtree cost by f(child, outward) - f(child, inward), and for a
+    fixed count the smallest deltas are optimal by exchange.
     """
     base = 0
     forced: list[int] = []  # child edge must point toward v
@@ -133,7 +134,7 @@ def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, 
     for pin in (0, 1):
         free = room - pin - len(forced)
         if free < 0:
-            out.append((INF, ()))
+            out.append((INF, 0))
             continue
         occupied = loaded or pin + len(forced) > 0
         best: int | float = INF
@@ -145,8 +146,8 @@ def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, 
             total = running + (1 if occupied or extra > 0 else 0)
             if total < best:
                 best, best_extra = total, extra
-        out.append((best, tuple(forced) + tuple(c for _, c in flippable[:best_extra])))
-    return out[0], out[1]
+        out.append((best, best_extra))
+    return out[0], out[1], forced, flippable
 
 
 def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
@@ -166,14 +167,14 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
     roots, _, children, order = _root_forest(n, fi.forest_edges)
     # f[v] = (cost with parent arc outward, cost with parent arc inward)
     f: list[tuple[int | float, int | float]] = [(0, 0)] * (n + 1)
-    # plan[v] = (children taken inward when the parent arc is outward, ... inward)
-    plan: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * (n + 1)
+    # plan[v] = ((flippable children taken per pin), forced, sorted flippable)
+    plan: list[tuple[tuple[int, int], list, list]] = [((0, 0), [], [])] * (n + 1)
     for v in reversed(order):
-        (out_cost, out_take), (in_cost, in_take) = _vertex_values(
+        (out_cost, out_taken), (in_cost, in_taken), forced, flippable = _vertex_values(
             cap[v] - preload[v], preload[v] > 0, children[v], f
         )
         f[v] = (out_cost, in_cost)
-        plan[v] = (out_take, in_take)
+        plan[v] = ((out_taken, in_taken), forced, flippable)
 
     total = sum(f[r][0] for r in roots)
     if math.isinf(total):
@@ -184,7 +185,8 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
         stack = [(r, 0)]
         while stack:
             v, pin = stack.pop()
-            inward = set(plan[v][pin])
+            taken, forced, flippable = plan[v]
+            inward = {*forced, *(c for _, c in flippable[: taken[pin]])}
             for c in children[v]:
                 e = (v, c) if v < c else (c, v)
                 if c in inward:
@@ -233,7 +235,7 @@ def solve_fes(
     undo: list[tuple[int, tuple[int | float, int | float]]] = []
 
     def evaluate(v: int) -> tuple[int | float, int | float]:
-        (out_cost, _), (in_cost, _) = _vertex_values(
+        (out_cost, _), (in_cost, _), _, _ = _vertex_values(
             cap[v] - preload[v], preload[v] > 0, children[v], f
         )
         return out_cost, in_cost

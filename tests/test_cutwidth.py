@@ -1,11 +1,14 @@
 import math
 import random
+from array import array
 
 import pytest
 
-from cvckit.core import CapacitatedGraph, CapExceededError, verify_orientation
+from cvckit.core import CapacitatedGraph, CapExceededError, StructuralError, verify_orientation
 from cvckit.cutwidth import (
+    DpLayer,
     LinearArrangement,
+    _scatter_table,
     base_layer,
     cut_edges,
     cutwidth_of,
@@ -16,6 +19,7 @@ from cvckit.cutwidth import (
     solve_cutdp,
     solve_cutdp_detailed,
 )
+from cvckit.generators import gnp
 from cvckit.oracle import solve_exact
 from bruteforce import brute_min_orientation
 
@@ -259,3 +263,123 @@ def test_layer_entries_match_brute_force_transition():
                     if best[0] < 0 or cand < best:
                         best = cand
                 assert (cur.values[sq], cur.preds[sq]) == best
+
+
+# Reference transition: derives each cut with ``cut_edges`` and places the
+# bits through four scatter tables.  ``process_layer`` must build the same
+# layers, at no more work, from the previous cut.
+def reference_process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i: int) -> DpLayer:
+    """Advance the DP across the vertex at position i.
+
+    Splits the previous cut into edges that persist (their direction is
+    fixed first), edges ending at the new vertex (bucketed by how many
+    point at it), and new edges leaving it (scanned once per target).
+    """
+    if prev.cut_index != i - 1:
+        raise StructuralError("layers must be processed in position order")
+    v = arr.order[i - 1]
+    cap_v = g.capacity[v]
+    cur_edges = cut_edges(g, arr, i)
+
+    np_ = len(prev.edges)
+    nq = len(cur_edges)
+    prev_bit = {e: np_ - 1 - idx for idx, e in enumerate(prev.edges)}
+    cur_bit = {e: nq - 1 - idx for idx, e in enumerate(cur_edges)}
+
+    common = [e for e in prev.edges if e in cur_bit]
+    left_in = [e for e in prev.edges if e not in cur_bit]  # all end at v
+    right_out = [e for e in cur_edges if e not in prev_bit]  # all start at v
+    nc, nl, nr = len(common), len(left_in), len(right_out)
+
+    tau_prev = _scatter_table(nc, [prev_bit[e] for e in common])
+    tau_cur = _scatter_table(nc, [cur_bit[e] for e in common])
+    l_scatter = _scatter_table(nl, [prev_bit[e] for e in left_in])
+    r_scatter = _scatter_table(nr, [cur_bit[e] for e in right_out])
+
+    pv = prev.values
+    values = array("q", [-1]) * (1 << nq)
+    preds = array("q", [-1]) * (1 << nq)
+
+    NL, NR = 1 << nl, 1 << nr
+    work = 0
+    for ti in range(1 << nc):
+        tsp = tau_prev[ti]
+        tsq = tau_cur[ti]
+        bucket_v = [-1] * (nl + 1)
+        bucket_s = [-1] * (nl + 1)
+        for lm in range(NL):
+            sp = tsp | l_scatter[lm]
+            val = pv[sp]
+            if val < 0:
+                continue
+            t = lm.bit_count()  # edges entering v from the left
+            bv = bucket_v[t]
+            if bv < 0 or val < bv or (val == bv and sp < bucket_s[t]):
+                bucket_v[t] = val
+                bucket_s[t] = sp
+        # prefix minima over buckets 1..t, with the lexicographically
+        # smallest predecessor signature breaking ties
+        pp_v = [-1] * (nl + 1)
+        pp_s = [-1] * (nl + 1)
+        run_v, run_s = -1, -1
+        for t in range(1, nl + 1):
+            bv, bs = bucket_v[t], bucket_s[t]
+            if bv >= 0 and (run_v < 0 or bv < run_v or (bv == run_v and bs < run_s)):
+                run_v, run_s = bv, bs
+            pp_v[t] = run_v
+            pp_s[t] = run_s
+        for rm in range(NR):
+            b = nr - rm.bit_count()  # edges entering v from the right
+            rem = cap_v - b
+            if rem < 0:
+                continue
+            tmax = rem if rem < nl else nl
+            # bucket 0 occupies v only through right edges; buckets 1..tmax always do
+            val, sp = bucket_v[0], bucket_s[0]
+            if val >= 0 and b > 0:
+                val += 1
+            alt = pp_v[tmax]
+            if alt >= 0:
+                alt += 1
+                if val < 0 or alt < val or (alt == val and pp_s[tmax] < sp):
+                    val, sp = alt, pp_s[tmax]
+            if val < 0:
+                continue
+            sq = tsq | r_scatter[rm]
+            values[sq] = val
+            preds[sq] = sp
+        work += NL + NR + nl + 1
+    work += (1 << nc) + NL + NR  # scatter-table construction
+    return DpLayer(i, cur_edges, values, preds, work)
+
+
+def test_layer_transition_matches_reference():
+    rng = random.Random(59)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        edges = [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1) if rng.random() < 0.4]
+        deg = {x: sum(x in e for e in edges) for x in range(1, n + 1)}
+        g = graph(n, edges, {x: rng.randint(0, deg[x] + 1) for x in range(1, n + 1)})
+        arr = random_arrangement(rng, n)
+        prev = base_layer()
+        for i in range(1, n + 1):
+            layer = process_layer(prev, g, arr, i)
+            ref = reference_process_layer(prev, g, arr, i)
+            assert layer.edges == ref.edges == tuple(cut_edges(g, arr, i))
+            assert layer.values == ref.values and layer.preds == ref.preds
+            assert layer.work <= ref.work
+            prev = layer
+
+
+def test_heuristic_arrangement_is_a_local_optimum():
+    """No single reinsertion of one vertex narrows the heuristic's widest cut."""
+    rng = random.Random(61)
+    graphs = [gnp(11, 0.3, 0)] + [random_graph(rng, rng.randint(4, 10), 0.4) for _ in range(8)]
+    for g in graphs:
+        arr = find_arrangement(g, "heuristic")
+        width = cutwidth_of(g, arr)
+        for v in arr.order:
+            rest = [w for w in arr.order if w != v]
+            for slot in range(g.n):
+                moved = LinearArrangement(tuple(rest[:slot] + [v] + rest[slot:]))
+                assert cutwidth_of(g, moved) >= width

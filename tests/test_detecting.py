@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from cvckit.core import CapExceededError
+from cvckit.core import CapExceededError, GraphFormatError
 from cvckit.detecting import (
     DetectingFamily,
     build_family,
@@ -14,6 +14,12 @@ from cvckit.detecting import (
 
 def test_two_singletons_detect():
     assert is_detecting(2, [{1}, {2}], 2)
+
+
+def test_index_outside_universe_is_a_format_error():
+    for index in (0, 2, -1):
+        with pytest.raises(GraphFormatError, match=f"index {index} outside universe 1..1"):
+            is_detecting(1, [{index}], 2)
 
 
 def test_single_pair_fails():
