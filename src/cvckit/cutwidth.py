@@ -8,10 +8,14 @@ agree with the assignment and respect capacities on the placed prefix.
 Each layer is built from the previous cut.  The edges ending at the new
 vertex leave it; the kept edges move, in their order, to the high bits of
 the signature, and the edges from the new vertex to later ones fill the
-low bits.  The transition first fixes the kept edges' directions, then
-buckets predecessors by how many edges enter the new vertex from the left,
-so one layer costs time proportional to 2^{|prev cut|} + 2^{|cut|} times a
-small polynomial instead of the naive product of both table sizes.
+low bits.  A previous entry is compared as one packed key, value above
+signature, so ``min`` over whole columns of kept patterns is the whole
+tie-break rule: predecessors are bucketed by how many edges enter the new
+vertex from the left, then prefix minima over the buckets give one row per
+count of new edges entering it.  One layer costs time proportional to
+2^{|prev cut|} + 2^{|cut|} times a small polynomial, and its scratch lists
+are bounded by running over the kept patterns in blocks.  Values and
+predecessor signatures are stored as 32-bit arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import or_
 from typing import Sequence
 
 from .core import (
@@ -36,6 +42,8 @@ from .core import (
 INF = math.inf
 MAX_CUT_BITS = 20  # widest arrangement the cut DP runs on: a layer holds 2^width entries
 DEFAULT_EXACT_ARRANGEMENT_CAP = 16
+NONE = 1 << 62  # key of an infeasible entry: above every value << S | signature, also after a step
+_BLOCK = 4096  # kept patterns per pass of the cut DP transition, which bounds its scratch lists
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,12 @@ def cutwidth_of(g: CapacitatedGraph, arr: LinearArrangement) -> int:
 class DpLayer:
     """One DP table: every direction assignment of the cut's edges.
 
-    Values are stored in a flat array indexed by the signature integer
-    (edge 0 at the most significant bit, so integer order is lexicographic
-    bit order); -1 encodes "no feasible orientation", exposed as math.inf.
+    ``values`` and ``preds`` are flat 32-bit arrays (``array("i")``) indexed
+    by the signature integer (edge 0 at the most significant bit, so integer
+    order is lexicographic bit order): the value and the predecessor
+    signature in the previous layer.  -1 encodes "no feasible orientation",
+    exposed as math.inf by ``table``.  Values are at most n and signatures
+    below 2^MAX_CUT_BITS, so both fit.
     """
 
     __slots__ = ("cut_index", "edges", "values", "preds", "work")
@@ -142,30 +153,34 @@ class DpLayer:
 
 def _scatter_table(width: int, positions: Sequence[int]) -> list[int]:
     """scatter[m] places bit j of m at target bit positions[j]."""
-    bitvals = [1 << p for p in positions]
-    out = [0] * (1 << width)
-    for m in range(1, 1 << width):
-        low = m & -m
-        out[m] = out[m ^ low] | bitvals[low.bit_length() - 1]
+    out = [0]
+    for p in positions[:width]:
+        bit = 1 << p
+        out += [m | bit for m in out]
     return out
 
 
 def base_layer() -> DpLayer:
-    values = array("q", [0])
-    preds = array("q", [-1])
-    return DpLayer(0, (), values, preds, 0)
+    return DpLayer(0, (), array("i", [0]), array("i", [-1]), 0)
 
 
 def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i: int) -> DpLayer:
     """Advance the DP across the vertex v at position i, from the previous cut.
 
-    The edges of the previous cut that end at v are bucketed by how many
-    point at v; the kept ones have their directions fixed first.  The new
-    cut, ``cut_edges(g, arr, i)``, is the kept edges in their order followed
-    by the edges (v, w), w after v, by w's position.  So the ``nc`` kept
-    edges fill the high bits and the ``nr`` new edges the low bits: kept
-    pattern ``ti`` (bit j is the j-th lowest kept bit of the previous cut)
-    with new-edge bits ``rm`` is entry ``(ti << nr) | rm``.
+    The new cut, ``cut_edges(g, arr, i)``, is the ``nc`` kept edges of the
+    previous cut in their order (high bits) followed by the ``nr`` edges
+    (v, w), w after v, by w's position (low bits): kept pattern ``ti`` with
+    new-edge bits ``rm`` is entry ``(ti << nr) | rm``.
+
+    A previous entry is compared as one key, ``value << S | signature``
+    with S the previous cut's width, or ``NONE`` when infeasible, so ``min``
+    picks the smallest value, then the smallest predecessor, and occupying
+    v adds ``1 << S``.  Over ``_BLOCK`` kept patterns at a time, each pattern
+    of the ``nl`` edges ending at v gives one column of keys; the columns
+    fold into buckets by how many of those edges enter v, the buckets into
+    prefix minima, and each count b of new edges entering v gives one row,
+    decoded once into the 32-bit ``values``/``preds`` of every ``rm`` with
+    that count.
     """
     if prev.cut_index != i - 1:
         raise StructuralError("layers must be processed in position order")
@@ -183,59 +198,43 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
     tau_prev = _scatter_table(nc, kept_bits)
     l_scatter = _scatter_table(nl, left_bits)
 
+    S = len(prev.edges)
+    step, low_mask = 1 << S, (1 << S) - 1
     pv = prev.values
-    values = array("q", [-1]) * (1 << (nc + nr))
-    preds = array("q", [-1]) * (1 << (nc + nr))
-
     NL, NR = 1 << nl, 1 << nr
-    work = 0
-    for ti in range(1 << nc):
-        tsp = tau_prev[ti]
-        high = ti << nr
-        bucket_v = [-1] * (nl + 1)
-        bucket_s = [-1] * (nl + 1)
+    by_right = [[] for _ in range(nr + 1)]  # new-edge patterns by b, the edges they point at v
+    for rm in range(NR):
+        by_right[nr - rm.bit_count()].append(rm)
+
+    values = array("i", [-1]) * (1 << (nc + nr))
+    preds = array("i", [-1]) * (1 << (nc + nr))
+    for lo in range(0, 1 << nc, _BLOCK):
+        block = tau_prev[lo : lo + _BLOCK]
+        size = len(block)
+        bucket = [None] * (nl + 1)
         for lm in range(NL):
-            sp = tsp | l_scatter[lm]
-            val = pv[sp]
-            if val < 0:
-                continue
             t = lm.bit_count()  # edges entering v from the left
-            bv = bucket_v[t]
-            if bv < 0 or val < bv or (val == bv and sp < bucket_s[t]):
-                bucket_v[t] = val
-                bucket_s[t] = sp
-        # prefix minima over buckets 1..t, with the lexicographically
-        # smallest predecessor signature breaking ties
-        pp_v = [-1] * (nl + 1)
-        pp_s = [-1] * (nl + 1)
-        run_v, run_s = -1, -1
+            sigs = list(map(or_, block, repeat(l_scatter[lm], size)))
+            column = [NONE if val < 0 else val << S | sp for val, sp in zip(map(pv.__getitem__, sigs), sigs)]
+            bucket[t] = column if bucket[t] is None else list(map(min, bucket[t], column))
+        prefix = [[NONE] * size]  # prefix[t]: least key over buckets 1..t
         for t in range(1, nl + 1):
-            bv, bs = bucket_v[t], bucket_s[t]
-            if bv >= 0 and (run_v < 0 or bv < run_v or (bv == run_v and bs < run_s)):
-                run_v, run_s = bv, bs
-            pp_v[t] = run_v
-            pp_s[t] = run_s
-        for rm in range(NR):
-            b = nr - rm.bit_count()  # edges entering v from the right
-            rem = cap_v - b
-            if rem < 0:
-                continue
-            tmax = rem if rem < nl else nl
-            # bucket 0 occupies v only through right edges; buckets 1..tmax always do
-            val, sp = bucket_v[0], bucket_s[0]
-            if val >= 0 and b > 0:
-                val += 1
-            alt = pp_v[tmax]
-            if alt >= 0:
-                alt += 1
-                if val < 0 or alt < val or (alt == val and pp_s[tmax] < sp):
-                    val, sp = alt, pp_s[tmax]
-            if val < 0:
-                continue
-            values[high | rm] = val
-            preds[high | rm] = sp
-        work += NL + NR + nl + 1
-    work += (1 << nc) + NL  # scatter-table construction
+            prefix.append(list(map(min, prefix[-1], bucket[t])))
+        for b, rms in enumerate(by_right):
+            if b > cap_v:
+                break
+            tmax = min(cap_v - b, nl)
+            # bucket 0 occupies v only through new edges; buckets 1..tmax always do
+            if b:
+                row = [k + step for k in map(min, bucket[0], prefix[tmax])]
+            else:
+                row = list(map(min, bucket[0], [k + step for k in prefix[tmax]]))
+            row_values = array("i", [k >> S if k < NONE else -1 for k in row])
+            row_preds = array("i", [k & low_mask if k < NONE else -1 for k in row])
+            for rm in rms:
+                values[lo * NR + rm : (lo + size) * NR : NR] = row_values
+                preds[lo * NR + rm : (lo + size) * NR : NR] = row_preds
+    work = (1 << nc) * (NL + NR + nl + 2) + NL
     return DpLayer(i, kept + new, values, preds, work)
 
 
@@ -359,8 +358,7 @@ def _heuristic_arrangement(g: CapacitatedGraph) -> LinearArrangement:
             continue
         queue = [s]
         seen[s] = True
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the loop reaches the vertices appended behind it
             order.append(v)
             for w in g.neighbors(v):
                 if not seen[w]:

@@ -279,11 +279,6 @@ def solve_canonical(
     # Every required vertex is in ``base`` or is the only member left in
     # its group, so each selection below contains all charged vertices.
     base = frozenset(meta.forced) | frozenset(free_required)
-    # still_open[d]: every vertex a selection may gain from depth d on
-    still_open = [frozenset(free_optional)]
-    for grp in reversed(groups):
-        still_open.append(still_open[-1] | frozenset(grp))
-    still_open.reverse()
 
     def feasible(selection: frozenset[int]) -> bool:
         folded = _fold(core_edges, residual, selection)
@@ -299,7 +294,8 @@ def solve_canonical(
     stack = [(0, base)]
     while stack and found is None:
         depth, chosen = stack.pop()
-        if not feasible(chosen | still_open[depth]):
+        # everything a selection may still gain from this depth on
+        if not feasible(chosen.union(free_optional, *groups[depth:])):
             continue
         if depth < len(groups):
             stack.extend((depth + 1, chosen | {member}) for member in reversed(groups[depth]))

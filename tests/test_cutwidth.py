@@ -19,7 +19,7 @@ from cvckit.cutwidth import (
     solve_cutdp,
     solve_cutdp_detailed,
 )
-from cvckit.generators import gnp
+from cvckit.generators import gnp, layered_with_ctw
 from cvckit.oracle import solve_exact
 from bruteforce import brute_min_orientation
 
@@ -369,6 +369,31 @@ def test_layer_transition_matches_reference():
             assert layer.values == ref.values and layer.preds == ref.preds
             assert layer.work <= ref.work
             prev = layer
+
+
+def test_wide_cut_layers_match_reference():
+    """Cuts up to 16 edges wide: kept patterns past one block of the
+    transition, keys shifted by up to 16 bits, and capacities drawn from
+    0..deg(v) so that infeasible entries sit among feasible ones.  The
+    seeds are ones whose widest layers keep feasible entries."""
+    for s in (0, 10):
+        base = layered_with_ctw(40, 16, s, extra=6)
+        rng = random.Random(s)
+        g = graph(base.n, base.edges, {v: rng.randint(0, base.deg(v)) for v in range(1, base.n + 1)})
+        arr = LinearArrangement(tuple(range(1, g.n + 1)))
+        prev = base_layer()
+        widest = []
+        for i in range(1, g.n + 1):
+            layer = process_layer(prev, g, arr, i)
+            ref = reference_process_layer(prev, g, arr, i)
+            assert layer.edges == ref.edges
+            assert layer.values == ref.values and layer.preds == ref.preds
+            nr = sum(1 for left, _ in layer.edges if left == arr.order[i - 1])
+            assert layer.work == ref.work - (1 << nr)  # the reference also builds a 2^nr scatter table
+            if len(layer.edges) == 16:
+                widest.append(layer)
+            prev = layer
+        assert widest and all(0 < sum(x >= 0 for x in layer.values) < layer.table_size for layer in widest)
 
 
 def test_heuristic_arrangement_is_a_local_optimum():
