@@ -126,7 +126,7 @@ def parse_mcc(text: str) -> MccInstance:
     """``mcc <k> <n>`` then ``class <i> <ids...>`` and ``e <u> <v>`` lines
     over global vertex ids."""
     header = None
-    classes: dict[int, list[int]] = {}
+    classes: dict[int, tuple[int, list[int]]] = {}  # class -> (line, ids)
     raw_edges: list[tuple[int, int]] = []
     for lineno, parts in _content_lines(text):
         kind = parts[0]
@@ -137,19 +137,26 @@ def parse_mcc(text: str) -> MccInstance:
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field") from None
         if kind == "mcc":
+            if header is not None:
+                raise GraphFormatError(f"line {lineno}: second mcc header")
             if min(ids) < 0:
                 raise GraphFormatError(f"line {lineno}: negative header field")
             header = (ids[0], ids[1])
         elif kind == "class":
-            classes[ids[0]] = ids[1:]
+            if ids[0] in classes:
+                raise GraphFormatError(f"line {lineno}: duplicate class {ids[0]}")
+            classes[ids[0]] = (lineno, ids[1:])
         else:
             raw_edges.append((ids[0], ids[1]))
     if header is None:
         raise GraphFormatError("missing mcc header")
     k, n = header
+    for i, (lineno, _) in classes.items():
+        if not 1 <= i <= k:
+            raise GraphFormatError(f"line {lineno}: class {i} outside 1..{k}")
     where: dict[int, ClassVertex] = {}
     for i in range(1, k + 1):
-        ids = classes.get(i)
+        _, ids = classes.get(i, (0, None))
         if ids is None or len(ids) != n:
             raise GraphFormatError(f"class {i} must list exactly {n} ids")
         for j, vid in enumerate(ids, start=1):

@@ -58,6 +58,8 @@ def parse_dimacs(text: str) -> Cnf1in3:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise GraphFormatError(f"line {lineno}: expected 'p cnf <n> <m>'")
+            if num_vars is not None:
+                raise GraphFormatError(f"line {lineno}: second 'p cnf' header")
             try:
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:

@@ -5,9 +5,9 @@ option per component under shared capacity budgets.
 The component selection step is a block-structured program: one local
 "pick exactly one option" constraint per component, plus global constraints
 tying component loads to the modulator residuals and the solution size.
-It is solved here by an exact dynamic program over capped residual
-vectors, which keeps the same feasibility semantics as the integer-
-programming formulation it replaces.
+It is solved here by an exact dynamic program over residual vectors
+clamped to the loads the components can reach, each state carrying the
+options that reach it; the engine passes its incumbent as the budget.
 
 Both the guesses and the catalogs walk every orientation of their free
 edges, so a component (or the modulator itself) with more than
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -75,14 +76,16 @@ class ComponentCatalog:
 
 
 def parse_modulator(text: str) -> tuple[int, ...]:
+    """One ``modulator <ids...>`` record; no record at all is the empty set."""
+    vertices = None
     for lineno, parts in _content_lines(text):
-        if parts[0] != "modulator":
-            raise GraphFormatError(f"line {lineno}: expected 'modulator <ids...>'")
+        if parts[0] != "modulator" or vertices is not None:
+            raise GraphFormatError(f"line {lineno}: expected one 'modulator <ids...>' record")
         try:
-            return tuple(sorted(int(x) for x in parts[1:]))
+            vertices = tuple(sorted(int(x) for x in parts[1:]))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex id") from None
-    return ()
+    return vertices or ()
 
 
 def format_modulator(vertices: Iterable[int]) -> str:
@@ -368,60 +371,51 @@ def _reduce_options(options: Iterable[tuple[tuple[int, ...], int, object]]):
     return sorted((load, gain, payload) for load, (gain, payload) in best.items())
 
 
+def _reach(reduced: Sequence[Sequence[tuple]], width: int) -> list[int]:
+    """Per modulator coordinate, the most load one option per block can put
+    there; residual capacity above it is never used."""
+    return [sum(max((load[i] for load, _, _ in block), default=0) for block in reduced)
+            for i in range(width)]
+
+
 def _block_select(
     reduced: Sequence[Sequence[tuple[tuple[int, ...], int, object]]],
     residual: Sequence[int],
     budget: int | float | None = None,
 ) -> tuple[int | float, list[object] | None]:
     """Exact minimum total size gain, one option per block, loads bounded by
-    the residual vector.  Returns (value, chosen payloads) or (inf, None).
+    the residual vector.  Returns (value, chosen payloads), or (inf, None)
+    when no selection fits or every one totals above ``budget``.
 
-    Each layer maps a residual state to (total gain, previous state,
-    payload); the payloads are read back once, from the best final state.
+    A state is the residual still free, clamped by ``_reach``, and maps to
+    (least total gain, payloads that reach it).  States are visited in
+    sorted order and options in block order, an entry is replaced only by a
+    strictly smaller total, and the answer is the first final state of
+    least total.
     """
-    width = len(residual)
-    caps = list(residual)
-    for i in range(width):
-        reachable = sum(max((load[i] for load, _, _ in block), default=0) for block in reduced)
-        caps[i] = min(caps[i], reachable)
-    if any(c < 0 for c in caps):
+    limit = INF if budget is None else budget
+    start = tuple(map(min, residual, _reach(reduced, len(residual))))
+    if limit < 0 or min(start, default=0) < 0:
         return INF, None
-    limit = math.inf if budget is None else budget
-    states: dict[tuple[int, ...], tuple] = {tuple(caps): (0, None, None)}
-    layers: list[dict[tuple[int, ...], tuple]] = []
+    states: dict[tuple[int, ...], tuple[int, tuple]] = {start: (0, ())}
     for block in reduced:
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for state in sorted(states):
-            total = states[state][0]
+        nxt: dict[tuple[int, ...], tuple[int, tuple]] = {}
+        for state, (total, picks) in sorted(states.items()):
             for load, gain, payload in block:
                 new_total = total + gain
                 if new_total > limit:
                     continue
-                rem = list(state)
-                ok = True
-                for i in range(width):
-                    rem[i] -= load[i]
-                    if rem[i] < 0:
-                        ok = False
-                        break
-                if not ok:
+                rem = tuple(map(sub, state, load))
+                if min(rem, default=0) < 0:
                     continue
-                key = tuple(rem)
-                cur = nxt.get(key)
+                cur = nxt.get(rem)
                 if cur is None or new_total < cur[0]:
-                    nxt[key] = (new_total, state, payload)
+                    nxt[rem] = (new_total, picks + (payload,))
         if not nxt:
             return INF, None
-        layers.append(nxt)
         states = nxt
-    state = min(states, key=lambda key: states[key][0])
-    best_total = states[state][0]
-    picks = []
-    for layer in reversed(layers):
-        _, state, payload = layer[state]
-        picks.append(payload)
-    picks.reverse()
-    return best_total, picks
+    best_total, picks = min(states.values(), key=itemgetter(0))
+    return best_total, list(picks)
 
 
 def solve_block_selection(
@@ -430,7 +424,7 @@ def solve_block_selection(
     budget: int | None = None,
 ) -> int | float:
     """Minimum total size contribution of one option per catalog, subject to
-    the residual capacities; inf when no selection fits."""
+    the residual capacities; inf when no selection fits within ``budget``."""
     if not catalogs:
         return 0
     order = catalogs[0].modulator_order
@@ -490,23 +484,24 @@ def _vi_engine(
             block_edges.append((forced, free))
         if len(blocks) < len(comps):  # some component has no valid option
             continue
+        reach = _reach(blocks, len(mod))
+        # An entry is the exact optimum or inf, which means above the budget
+        # it was made under; budgets only fall, so every entry stays valid.
         memo: dict[tuple[int, ...], tuple[int | float, list | None]] = {}
         for heads_u, residual in _orientations_for_selected(g, mod, selected):
             if stats is not None:
                 stats["guesses"] += 1
-            res_key = tuple(residual[u] for u in mod)
+            res_key = tuple(min(residual[u], r) for u, r in zip(mod, reach))
             if res_key not in memo:
-                memo[res_key] = _block_select(blocks, res_key)
+                budget = (k if k is not None else best - 1) - len(selected)
+                memo[res_key] = _block_select(blocks, res_key, budget)
             total_gain, picks = memo[res_key]
             value = len(selected) + total_gain
-            if value >= best:
-                continue
-            if k is None or value <= k:
-                assembly = dict(heads_u)
-                for (forced, free), mask in zip(block_edges, picks or []):
-                    assembly.update(_component_heads(forced, free, mask))
+            if value < best:
                 best = value
-                best_assembly = assembly
+                best_assembly = dict(heads_u)
+                for (forced, free), mask in zip(block_edges, picks):
+                    best_assembly.update(_component_heads(forced, free, mask))
                 if k is not None:
                     return value, Orientation(best_assembly)
     if best_assembly is None:

@@ -287,6 +287,15 @@ def test_solve_vi_modulator_out_of_range(tmp_path, capsys):
     assert "MINSIZE" in capsys.readouterr().out
 
 
+def test_solve_vi_modulator_with_a_second_record(tmp_path, capsys):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    mod = put(tmp_path, "t.mod", "modulator 1 2\nbogus line here\n")
+    assert main(["solve", "--input", inp, "--algo", "vi", "--modulator", mod]) == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_solve_vi_weak_modulator_is_refused(tmp_path, capsys):
     k8 = "".join(f"e {u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9))
     inp = put(tmp_path, "k8.cvc", "cvc 8 28\n" + "".join(f"v {v} 7\n" for v in range(1, 9)) + k8)

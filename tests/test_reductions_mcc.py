@@ -156,3 +156,16 @@ def test_odd_class_count_padding():
     inst_no = MccInstance(3, 1, frozenset())
     red_no = reduce_mcc_td(inst_no)
     assert solve_canonical(red_no.graph, red_no.meta, red_no.budget)[0] is False
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mcc 1 1\nclass 1 1\nmcc 1 1\n", "line 3: second mcc header"),
+        ("mcc 1 1\nclass 1 1\nclass 1 2\n", "line 3: duplicate class 1"),
+        ("mcc 1 1\nclass 1 1\nclass 2 2\n", "line 3: class 2 outside 1..1"),
+    ],
+)
+def test_mcc_file_rejects_repeated_or_stray_records(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        parse_mcc(text)

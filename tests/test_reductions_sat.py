@@ -1,6 +1,6 @@
 import pytest
 
-from cvckit.core import StructuralError, verify_orientation
+from cvckit.core import GraphFormatError, StructuralError, verify_orientation
 from cvckit.detecting import DetectingFamily, build_family
 from cvckit.oracle import solve_canonical
 from cvckit.reductions.sat import (
@@ -217,3 +217,9 @@ def test_cw_matches_bruteforce_small():
         expected = brute_one_in_three(n, psi.clauses)
         assert solve_canonical(red.graph, red.meta, red.budget)[0] == expected
         assert verify_cw_expression(red.expression, red.graph)
+
+
+def test_dimacs_rejects_second_header():
+    text = "p cnf 3 1\n1 2 3 0\np cnf 3 2\n"
+    with pytest.raises(GraphFormatError, match="line 3: second 'p cnf' header"):
+        parse_dimacs(text)

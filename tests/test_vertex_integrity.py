@@ -7,7 +7,8 @@ import pytest
 
 import cvckit.vertex_integrity as vi_mod
 from cvckit.core import CapacitatedGraph, CapExceededError, verify_orientation
-from cvckit.core import Orientation, StructuralError, normalize_capacities
+from cvckit.core import GraphFormatError, Orientation, StructuralError, normalize_capacities
+from cvckit.generators import gnp
 from cvckit.oracle import solve_exact, solve_pruned
 from cvckit.vertex_integrity import (
     CatalogOption,
@@ -84,6 +85,12 @@ def test_modulator_refuses_above_cap():
 
 def test_modulator_file_roundtrip():
     assert parse_modulator(format_modulator([3, 1])) == (1, 3)
+
+
+def test_modulator_file_holds_one_record():
+    for text in ["modulator 1 2\nbogus line here\n", "modulator 1\nmodulator 2\n"]:
+        with pytest.raises(GraphFormatError, match="line 2"):
+            parse_modulator(text)
 
 
 # --- guesses ----------------------------------------------------------------
@@ -520,3 +527,55 @@ def test_weak_modulator_is_refused():
     with pytest.raises(CapExceededError, match="21 free edges"):
         solve_vi_opt(g, modulator=range(1, 9))
     assert vi_mod.MAX_FREE_EDGES == 20
+
+
+def test_block_select_matches_reference_with_and_without_budget():
+    rng = random.Random(79)
+    budgeted = pruned = 0
+    for _ in range(400):
+        width = rng.randint(0, 3)
+        blocks = []
+        for b in range(rng.randint(0, 4)):
+            options = [
+                (tuple(rng.randint(0, 2) for _ in range(width)), rng.randint(0, 2), (b, i))
+                for i in range(rng.randint(1, 5))
+            ]
+            blocks.append(vi_mod._reduce_options(options))
+        residual = [rng.randint(-1, 4) for _ in range(width)]
+        want = _reference_block_select(blocks, residual)
+        assert vi_mod._block_select(blocks, residual) == want
+        loads = {payload: (load, gain) for block in blocks for load, gain, payload in block}
+        for budget in range(-1, 6):
+            value, picks = vi_mod._block_select(blocks, residual, budget)
+            if want[0] > budget:
+                assert (value, picks) == (math.inf, None)
+                pruned += want[0] != math.inf
+                continue
+            assert value == want[0]
+            assert [b for b, _ in picks] == list(range(len(blocks)))
+            assert sum(loads[p][1] for p in picks) == value
+            for i in range(width):
+                assert sum(loads[p][0][i] for p in picks) <= residual[i]
+            budgeted += 1
+    assert budgeted > 500 and pruned > 100
+
+
+@pytest.mark.parametrize("n, p, seed, max_calls", [(14, 0.3, 104009, 300), (16, 0.2, 47, 340)])
+def test_engine_budgets_and_clamps_block_selection(monkeypatch, n, p, seed, max_calls):
+    # Without a budget and a clamped memo key these inputs ran for tens of seconds.
+    block_select = vi_mod._block_select
+    calls = 0
+
+    def counting(reduced, residual, budget=None):
+        nonlocal calls
+        assert budget is not None
+        calls += 1
+        assert calls <= max_calls
+        return block_select(reduced, residual, budget)
+
+    monkeypatch.setattr(vi_mod, "_block_select", counting)
+    g = gnp(n, p, seed)
+    value, cert = solve_vi_opt(g)
+    assert value == solve_exact(g)[0]
+    rep = verify_orientation(g, cert)
+    assert rep.feasible and rep.size == value
