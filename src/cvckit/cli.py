@@ -7,6 +7,7 @@ Exit codes on every path: 0 success/yes, 1 no or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,9 +171,7 @@ def _reduce(args) -> int:
     elif args.type == "sat-natural":
         psi = parse_dimacs(_read(args.input))
         grouping = group_formula(psi, args.grouping)
-        families = [
-            build_family(len(cg), 4, args.family_mode) for cg in grouping.clause_groups
-        ]
+        families = [build_family(len(cg), 4) for cg in grouping.clause_groups]
         red = reduce_sat_natural(psi, grouping, families)
         _write(prefix + ".cvc", format_instance(red.graph))
         _write(prefix + ".meta", format_choice_groups(red.meta))
@@ -337,6 +336,7 @@ def _bench(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvckit",
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output", required=True, help="output path prefix")
     p_reduce.add_argument("--grouping", default="greedy", choices=["trivial", "greedy"])
-    p_reduce.add_argument("--family-mode", default="greedy", choices=["singleton", "greedy"])
     p_reduce.add_argument("--json")
     p_reduce.set_defaults(func=_reduce)
 

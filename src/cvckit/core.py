@@ -175,9 +175,6 @@ class Orientation:
             indeg[head] += 1
         return indeg
 
-    def size(self) -> int:
-        return len({h for h in self.heads.values()})
-
     def __len__(self) -> int:
         return len(self.heads)
 

@@ -24,7 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import or_
 from typing import Sequence
 
@@ -104,17 +104,20 @@ def cut_edges(g: CapacitatedGraph, arr: LinearArrangement, i: int) -> list[tuple
 
 def cutwidth_of(g: CapacitatedGraph, arr: LinearArrangement) -> int:
     """Maximum number of edges crossing any prefix cut."""
-    pos = arr.position
-    diff = [0] * (g.n + 2)
+    return max(_cut_profile(g, arr.order))
+
+
+def _cut_profile(g: CapacitatedGraph, order: Sequence[int]) -> list[int]:
+    """Entry j: the edges between the first j vertices of ``order`` and the rest."""
+    pos = [0] * (len(order) + 1)
+    for i, v in enumerate(order, start=1):
+        pos[v] = i
+    diff = [0] * (len(order) + 1)
     for u, v in g.edges:
         lo, hi = sorted((pos[u], pos[v]))
         diff[lo] += 1
         diff[hi] -= 1
-    best = cur = 0
-    for i in range(1, g.n + 1):
-        cur += diff[i]
-        best = max(best, cur)
-    return best
+    return list(accumulate(diff))
 
 
 class DpLayer:
@@ -364,18 +367,17 @@ def _heuristic_arrangement(g: CapacitatedGraph) -> LinearArrangement:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
-    current = LinearArrangement(tuple(order))
-    best_width = cutwidth_of(g, current)
+    width = max(_cut_profile(g, order))
     while True:  # first-improvement reinsertion until no single move narrows the widest cut
-        better = next((c for c in _reinsertions(current) if cutwidth_of(g, c) < best_width), None)
-        if better is None:
-            return current
-        current, best_width = better, cutwidth_of(g, better)
-
-
-def _reinsertions(arr: LinearArrangement):
-    """Every arrangement one vertex move away: vertices in order, then slots."""
-    for v in arr.order:
-        base = [w for w in arr.order if w != v]
-        for slot in range(len(arr)):
-            yield LinearArrangement(tuple(base[:slot] + [v] + base[slot:]))
+        for v in order:
+            base = [w for w in order if w != v]
+            # v in slot s: the cuts up to s are those of base + [v], the cuts after s those of [v] + base
+            left = list(accumulate(_cut_profile(g, base + [v]), max))
+            right = list(accumulate(reversed(_cut_profile(g, [v] + base)), max))[::-1]
+            slot = next((s for s in range(n) if max(left[s], right[s + 1]) < width), None)
+            if slot is not None:
+                order = base[:slot] + [v] + base[slot:]
+                width = max(left[slot], right[slot + 1])
+                break
+        else:
+            return LinearArrangement(tuple(order))

@@ -2,8 +2,8 @@
 from the universe into {0, ..., d-1}.
 
 The hardness reduction over the natural parameter only needs the property
-itself, which is cheap to verify exhaustively at desk scale; the size of
-the family is not a goal here.
+itself.  The family built here is the singletons, whose sums read each
+value directly; the size of the family is not a goal here.
 """
 
 from __future__ import annotations
@@ -39,15 +39,19 @@ def is_detecting(
 ) -> bool:
     """True iff the vector of subset sums determines every function
     universe -> {0..d-1}; equivalently, no two distinct functions share all
-    subset sums.  Exhaustive, guarded by the cap on d^(2|U|)."""
+    subset sums.  A family holding {x} for every x detects, since its sum
+    is f(x); any other family is enumerated, guarded by the cap on
+    d^(2|U|)."""
     if d < 1 or universe_size < 0:
         raise ValueError("need d >= 1 and a non-negative universe")
-    if d ** (2 * universe_size) > check_cap:
-        raise CapExceededError("detecting-family check too large for the configured cap")
     sets = [sorted(set(s)) for s in family]
     outside = [x for s in sets for x in s if not 1 <= x <= universe_size]
     if outside:
         raise GraphFormatError(f"index {outside[0]} outside universe 1..{universe_size}")
+    if len({s[0] for s in sets if len(s) == 1}) == universe_size:  # every index is in 1..u
+        return True
+    if d ** (2 * universe_size) > check_cap:
+        raise CapExceededError("detecting-family check too large for the configured cap")
     seen: set[tuple[int, ...]] = set()
     for values in product(range(d), repeat=universe_size):
         sig = tuple(sum(values[x - 1] for x in s) for s in sets)
@@ -58,42 +62,24 @@ def is_detecting(
 
 
 def build_family(universe_size: int, d: int, mode: str = "singleton") -> DetectingFamily:
-    """Construct a verified detecting family.
+    """Construct a detecting family: one set {x} per element.
 
-    singleton: one set per element (sums reveal each value directly).
-    greedy: start from the singletons, drop every set whose removal keeps
-    the property, then try pairwise merges; never larger than the
-    singleton family and always re-verified.
+    greedy: the family reached from the singletons by dropping one set or
+    merging two while the property holds.  For d >= 2 neither move keeps
+    it: without {x}, two functions that differ only at x share every sum;
+    with {a, b} in place of {a} and {b}, swapping the values 0 and 1
+    between a and b keeps every sum.  So greedy is the singleton family
+    too, except at d = 1, where every family detects and it has no set.
     """
-    singletons = [frozenset({x}) for x in range(1, universe_size + 1)]
-    if mode == "singleton":
-        return DetectingFamily(universe_size, d, tuple(singletons))
-    if mode != "greedy":
+    if mode not in ("singleton", "greedy"):
         raise ValueError(f"unknown mode '{mode}'")
-    family = list(singletons)
-    kept: list[frozenset[int]] = []
-    for i in range(len(family)):
-        trial = kept + family[i + 1 :]
-        if is_detecting(universe_size, trial, d):
-            continue
-        kept.append(family[i])
-    family = kept
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                trial = [s for t, s in enumerate(family) if t not in (i, j)]
-                trial.append(family[i] | family[j])
-                if is_detecting(universe_size, trial, d):
-                    family = sorted(trial, key=sorted)
-                    merged = True
-                    break
-            if merged:
-                break
-    result = DetectingFamily(universe_size, d, tuple(family))
-    assert is_detecting(universe_size, result.sets, d)
-    return result
+    sets = tuple(frozenset({x}) for x in range(1, universe_size + 1))
+    if mode == "greedy":
+        if d < 1 or universe_size < 0:
+            raise ValueError("need d >= 1 and a non-negative universe")
+        if d == 1:
+            sets = ()
+    return DetectingFamily(universe_size, d, sets)
 
 
 def parse_family(text: str) -> tuple[frozenset[int], ...]:

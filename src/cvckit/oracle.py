@@ -101,9 +101,7 @@ def format_choice_groups(meta: ChoiceGroups) -> str:
 # ---------------------------------------------------------------------------
 # exact enumeration
 
-def solve_exact(
-    g: CapacitatedGraph, *, max_vertices: int = DEFAULT_EXACT_CAP
-) -> tuple[int | float, Orientation | None]:
+def solve_exact(g: CapacitatedGraph) -> tuple[int | float, Orientation | None]:
     """Minimum feasible-orientation size with a witnessing certificate.
 
     Enumerates candidate support sets by cardinality, then lexicographic id
@@ -121,8 +119,8 @@ def solve_exact(
     enumeration would return: the optimum and the certificate are
     unchanged.
     """
-    if g.n > max_vertices:
-        raise CapExceededError(f"solve_exact capped at {max_vertices} vertices, got {g.n}")
+    if g.n > DEFAULT_EXACT_CAP:
+        raise CapExceededError(f"solve_exact capped at {DEFAULT_EXACT_CAP} vertices, got {g.n}")
     g = normalize_capacities(g)
     caps = g.capacity
     m = len(g.edges)
@@ -193,9 +191,7 @@ def _covers(g: CapacitatedGraph, forced: frozenset[int], k: int):
                 stack.append(branch)
 
 
-def solve_pruned(
-    g: CapacitatedGraph, k: int, *, search_cap: int = DEFAULT_PRUNED_CAP
-) -> tuple[bool, Orientation | None]:
+def solve_pruned(g: CapacitatedGraph, k: int) -> tuple[bool, Orientation | None]:
     """Decide whether a feasible orientation of size <= k exists.
 
     A solution's heads form a vertex cover of at most k vertices: it holds
@@ -205,7 +201,7 @@ def solve_pruned(
     with the selection, so one assignment call per count vector of twins,
     highest capacity first, min(k - |C|, all) in total.  Refuses
     (``CapExceededError``) before any such call once the branch nodes and
-    the vectors, times m + 1, exceed ``search_cap``.
+    the vectors, times m + 1, exceed ``DEFAULT_PRUNED_CAP``.
     """
     g = normalize_capacities(g)
     k = min(k, sum(1 for v in g.vertices() if g.capacity[v]))  # no support is larger
@@ -216,8 +212,8 @@ def solve_pruned(
     work = 0
     for cover, twins in _covers(g, forced, k):
         work += 1 if twins is None else 1 + _vector_count([len(c) for c in twins], k - len(cover))
-        if work * unit > search_cap:
-            raise CapExceededError(f"pruned search above {search_cap}: {work}+ branch nodes and count vectors")
+        if work * unit > DEFAULT_PRUNED_CAP:
+            raise CapExceededError(f"pruned search above {DEFAULT_PRUNED_CAP}: {work}+ branch nodes and count vectors")
     for cover, twins in _covers(g, forced, k):
         if twins is None:
             continue

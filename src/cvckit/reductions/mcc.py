@@ -57,34 +57,42 @@ class TreedepthWitness:
 
 def verify_td_witness(g: CapacitatedGraph, witness: TreedepthWitness) -> tuple[bool, int]:
     """Valid iff the parent map is a forest over V(G) and every edge joins
-    an ancestor-descendant pair.  Returns (valid, depth in vertices)."""
+    an ancestor-descendant pair.  Returns (valid, depth in vertices).
+
+    One depth-first walk from the roots lists the forest in preorder, so
+    every subtree fills a run of positions, and an edge is valid when its
+    later endpoint falls in the run of its earlier one."""
     parent = witness.parent
+    n = g.n
     if set(parent) != set(g.vertices()):
         return False, 0
-    depth: dict[int, int] = {}
-    for v in g.vertices():
-        chain = []
-        on_chain = set()
-        x = v
-        while x != 0 and x not in depth:
-            if x in on_chain:
-                return False, 0  # cycle
-            if x not in parent:
-                return False, 0
-            chain.append(x)
-            on_chain.add(x)
-            x = parent[x]
-        base = 0 if x == 0 else depth[x]
-        for u in reversed(chain):
-            base += 1
-            depth[u] = base
-    max_depth = max(depth.values(), default=0)
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # children[0]: the roots
+    for v, p in parent.items():
+        if not 0 <= p <= n:
+            return False, 0
+        children[p].append(v)
+    order = []
+    depth = [0] * (n + 1)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in children[v]:
+            depth[c] = depth[v] + 1
+        stack += children[v]
+    if len(order) <= n:
+        return False, 0  # a cycle: its vertices hang below no root
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [1] * (n + 1)  # vertices in the subtree
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    max_depth = max(depth)
     for u, v in g.edges:
-        a, b = (u, v) if depth[u] >= depth[v] else (v, u)
-        x = a
-        for _ in range(depth[a] - depth[b]):
-            x = parent[x]
-        if x != b:
+        if pos[u] > pos[v]:
+            u, v = v, u
+        if pos[v] >= pos[u] + size[u]:
             return False, max_depth
     return True, max_depth
 

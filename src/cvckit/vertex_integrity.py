@@ -37,7 +37,6 @@ from .core import (
 
 INF = math.inf
 DEFAULT_MODULATOR_CAP = 18
-_CHUNK = 6  # mask bits per neighbourhood lookup table in compute_modulator
 MAX_FREE_EDGES = 20  # a component walks 2^free orientations; 2^20 take about a second
 
 
@@ -123,9 +122,9 @@ def compute_modulator(
     order, and keeps the first set of the smallest value; a set of size s
     can only beat the incumbent when s + 1 is still smaller, since at least
     one vertex remains outside.  Vertex sets are bitmasks: components are
-    grown by looking up closed neighbourhoods per ``_CHUNK`` bits of the
-    mask, and a candidate is dropped as soon as one of its components is
-    large enough that it cannot beat the incumbent.
+    grown breadth-first, one frontier at a time, from closed
+    neighbourhoods, and a candidate is dropped as soon as one of its
+    components is large enough that it cannot beat the incumbent.
     """
     if g.n > exact_cap:
         raise CapExceededError(f"modulator search capped at {exact_cap} vertices, got {g.n}")
@@ -134,31 +133,21 @@ def compute_modulator(
     for u, v in g.edges:
         closed[u - 1] |= 1 << (v - 1)
         closed[v - 1] |= 1 << (u - 1)
-    # tables[c][x]: union of the closed neighbourhoods of the vertices whose
-    # bits are the x-th subset of chunk c
-    tables = []
-    for lo in range(0, n, _CHUNK):
-        table = [0] * (1 << min(_CHUNK, n - lo))
-        for x in range(1, len(table)):
-            low = x & -x
-            table[x] = table[x ^ low] | closed[lo + low.bit_length() - 1]
-        tables.append((lo, table))
-    chunk_mask = (1 << _CHUNK) - 1
 
     def largest_component(rest: int, limit: int) -> int:
         """Order of the largest component of G[rest]; ``limit`` as soon as
         a growing component reaches it."""
         largest = 0
         while rest and rest.bit_count() > largest:
-            comp = rest & -rest
-            while True:
+            comp = frontier = rest & -rest
+            while frontier:
                 grown = 0
-                for lo, table in tables:
-                    grown |= table[(comp >> lo) & chunk_mask]
-                grown &= rest
-                if grown == comp:
-                    break
-                comp = grown
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= closed[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & rest & ~comp
+                comp |= frontier
                 if comp.bit_count() >= limit:
                     return limit
             largest = max(largest, comp.bit_count())

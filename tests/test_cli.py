@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from cvckit.core import CapExceededError, Orientation, format_instance, parse_in
 from cvckit.cutwidth import LinearArrangement, format_arrangement
 from cvckit.fes import feedback_edge_set
 from cvckit.generators import layered_with_ctw
+from cvckit.reductions.sat import group_formula, parse_dimacs
 
 TRIANGLE = "cvc 3 3\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 K2 = "cvc 2 1\nv 1 1\nv 2 1\ne 1 2\n"
@@ -240,6 +246,62 @@ def test_reduce_sat_natural_emits_families(tmp_path, capsys):
     assert main(["reduce", "--type", "sat-natural", "--input", src, "--output", prefix]) == 0
     fam = str(tmp_path / "nat.fam1")
     assert main(["verify", "--type", "family", "--family", fam, "--universe", "1", "--d", "4"]) == 0
+
+
+def random_formula(num_vars, num_clauses, seed):
+    rng = random.Random(seed)
+    lines = [f"p cnf {num_vars} {num_clauses}"]
+    for _ in range(num_clauses):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_reduce_sat_natural_with_groups_past_the_check_cap(tmp_path, capsys):
+    # 60 clauses give clause groups of 7, and 4^(2*7) is above is_detecting's
+    # cap: the singleton families must pass without enumeration
+    text = random_formula(40, 60, seed=60)
+    src = put(tmp_path, "f.cnf", text)
+    prefix = str(tmp_path / "nat")
+    assert main(["reduce", "--type", "sat-natural", "--input", src, "--output", prefix]) == 0
+    groups = group_formula(parse_dimacs(text), "greedy").clause_groups
+    assert max(map(len, groups)) == 7
+    assert not (tmp_path / f"nat.fam{len(groups) + 1}").exists()
+    capsys.readouterr()
+    for i, cg in enumerate(groups, start=1):
+        argv = ["verify", "--type", "family", "--family", f"{prefix}.fam{i}", "--universe", str(len(cg))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "VALID family\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_commands_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    cert = str(tmp_path / "t.cert")
+    src = put(tmp_path, "f.cnf", "p cnf 3 1\n1 2 3 0\n")
+    runs = [
+        ["solve", "--input", inp, "--algo", "oracle", "--cert-out", cert],
+        ["verify", "--type", "orientation", "--input", inp, "--cert", cert, "--k", "2"],
+        ["reduce", "--type", "sat-natural", "--input", src, "--output", str(tmp_path / "nat")],
+        ["verify", "--type", "orientation", "--input", inp, "--cert", cert],
+        ["solve", "--input", inp, "--algo", "vi", "--k", "2"],
+        ["reduce", "--type", "sat-cw", "--input", src, "--output", str(tmp_path / "cw")],
+    ]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "cvckit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 1, 0, 0, 1, 0]
 
 
 def test_solve_canonical_via_meta_file(tmp_path, capsys):

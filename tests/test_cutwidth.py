@@ -19,7 +19,7 @@ from cvckit.cutwidth import (
     solve_cutdp,
     solve_cutdp_detailed,
 )
-from cvckit.generators import gnp, layered_with_ctw
+from cvckit.generators import gnp, layered_with_ctw, sparse_with_fes
 from cvckit.oracle import solve_exact
 from bruteforce import brute_min_orientation
 
@@ -408,3 +408,49 @@ def test_heuristic_arrangement_is_a_local_optimum():
             for slot in range(g.n):
                 moved = LinearArrangement(tuple(rest[:slot] + [v] + rest[slot:]))
                 assert cutwidth_of(g, moved) >= width
+
+
+def reference_heuristic_arrangement(g):
+    """Breadth-first start, then first-improvement reinsertion that builds and
+    measures every candidate arrangement: vertices in order, then slots."""
+    seen = [False] * (g.n + 1)
+    order = []
+    for s in sorted(range(1, g.n + 1), key=lambda v: (g.deg(v), v)):
+        if seen[s]:
+            continue
+        queue = [s]
+        seen[s] = True
+        for v in queue:
+            order.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    current = LinearArrangement(tuple(order))
+    while True:
+        width = cutwidth_of(g, current)
+        candidates = (
+            LinearArrangement(tuple(rest[:slot] + [v] + rest[slot:]))
+            for v in current.order
+            for rest in [[w for w in current.order if w != v]]
+            for slot in range(g.n)
+        )
+        better = next((c for c in candidates if cutwidth_of(g, c) < width), None)
+        if better is None:
+            return current
+        current = better
+
+
+def relabelled(g, rng):
+    perm = [0] + rng.sample(range(1, g.n + 1), g.n)
+    caps = {perm[v]: g.capacity[v] for v in g.vertices()}
+    return CapacitatedGraph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges], caps)
+
+
+def test_heuristic_arrangement_matches_reference():
+    rng = random.Random(3)
+    graphs = [relabelled(layered_with_ctw(30, 4, s, extra=12), rng) for s in range(4)]
+    graphs += [gnp(14, 0.3, s) for s in range(4)] + [sparse_with_fes(30, 6, s) for s in range(4)]
+    graphs += [random_graph(rng, rng.randint(1, 12), 0.3) for _ in range(12)]
+    for g in graphs:
+        assert find_arrangement(g, "heuristic") == reference_heuristic_arrangement(g)

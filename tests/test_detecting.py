@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -92,3 +93,43 @@ def test_greedy_output_is_removal_minimal():
 def test_family_file_roundtrip():
     fam = DetectingFamily(3, 4, (frozenset({1}), frozenset({2, 3})))
     assert parse_family(format_family(fam)) == fam.sets
+
+
+def test_greedy_is_the_singleton_family():
+    # no drop or merge keeps the property at d >= 2, so greedy never shrinks
+    # the singletons, also where an exhaustive check is above the cap
+    for u in range(13):
+        for d in range(2, 5):
+            assert build_family(u, d, "greedy") == build_family(u, d, "singleton")
+        assert build_family(u, 1, "greedy").sets == ()
+
+
+def test_build_rejects_bad_input():
+    with pytest.raises(ValueError, match="unknown mode"):
+        build_family(3, 2, "compact")
+    for u, d in [(3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="need d >= 1"):
+            build_family(u, d, "greedy")
+
+
+def _enumerated(u, family, d):
+    sums = {tuple(sum(f[x - 1] for x in s) for s in family) for f in product(range(d), repeat=u)}
+    return len(sums) == d**u
+
+
+def test_is_detecting_matches_enumeration_on_random_families():
+    rng = random.Random(13)
+    for _ in range(300):
+        u, d = rng.randint(1, 5), rng.randint(1, 3)
+        family = [{x for x in range(1, u + 1) if rng.random() < 0.5} for _ in range(rng.randint(0, u + 1))]
+        if rng.random() < 0.5:
+            family += [{x} for x in range(1, u + 1)]
+            rng.shuffle(family)
+        assert is_detecting(u, family, d) == _enumerated(u, family, d)
+
+
+def test_singleton_family_detects_above_the_cap():
+    family = [{x} for x in range(30, 0, -1)] + [{1, 2}]
+    assert is_detecting(30, family, 4, check_cap=10**6)
+    with pytest.raises(CapExceededError):
+        is_detecting(30, family[1:], 4, check_cap=10**6)

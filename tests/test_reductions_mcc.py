@@ -53,6 +53,92 @@ def test_witness_rejects_cycle():
     assert not valid
 
 
+def reference_verify_td_witness(g, witness):
+    """Per edge, climb the deeper endpoint's parent chain to the other's depth."""
+    parent = witness.parent
+    if set(parent) != set(g.vertices()):
+        return False, 0
+    depth = {}
+    for v in g.vertices():
+        chain = []
+        on_chain = set()
+        x = v
+        while x != 0 and x not in depth:
+            if x in on_chain:
+                return False, 0  # cycle
+            if x not in parent:
+                return False, 0
+            chain.append(x)
+            on_chain.add(x)
+            x = parent[x]
+        base = 0 if x == 0 else depth[x]
+        for u in reversed(chain):
+            base += 1
+            depth[u] = base
+    max_depth = max(depth.values(), default=0)
+    for u, v in g.edges:
+        a, b = (u, v) if depth[u] >= depth[v] else (v, u)
+        x = a
+        for _ in range(depth[a] - depth[b]):
+            x = parent[x]
+        if x != b:
+            return False, max_depth
+    return True, max_depth
+
+
+def random_forest_case(rng):
+    n = rng.randint(1, 12)
+    order = rng.sample(range(1, n + 1), n)
+    parent = {v: (0 if i == 0 or rng.random() < 0.2 else rng.choice(order[:i])) for i, v in enumerate(order)}
+    edges = []
+    for v in order:
+        x = parent[v]
+        while x:
+            if rng.random() < 0.5:
+                edges.append((v, x))
+            x = parent[x]
+    return n, parent, edges
+
+
+def test_witness_matches_chain_walk_on_random_forests():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(600):
+        n, parent, edges = random_forest_case(rng)
+        v = rng.randint(1, n)
+        broken = rng.choice(["none", "cycle", "self", "missing", "outside", "extra", "edge"])
+        if broken == "cycle":
+            x = v
+            while parent[x]:
+                x = parent[x]
+            parent[x] = v
+        elif broken == "self":
+            parent[v] = v
+        elif broken == "missing":
+            del parent[v]
+        elif broken == "outside":
+            parent[v] = rng.choice([-1, n + 1])
+        elif broken == "extra":
+            parent[n + 1] = 0
+        elif broken == "edge" and n > 1:
+            edges.append(tuple(rng.sample(range(1, n + 1), 2)))
+        g = CapacitatedGraph.build(n, edges, {u: 0 for u in range(1, n + 1)})
+        witness = TreedepthWitness(parent)
+        result = verify_td_witness(g, witness)
+        assert result == reference_verify_td_witness(g, witness)
+        outcomes.add((broken, result[0]))
+    assert {("none", True), ("cycle", False), ("edge", False), ("edge", True)} <= outcomes
+
+
+def test_witness_long_path():
+    n = 20_000
+    g = CapacitatedGraph.build(n, [(v, v + 1) for v in range(1, n)], {v: 0 for v in range(1, n + 1)})
+    chain = TreedepthWitness({v: v - 1 for v in range(1, n + 1)})
+    assert verify_td_witness(g, chain) == reference_verify_td_witness(g, chain) == (True, n)
+    split = TreedepthWitness({**chain.parent, n // 2 + 1: 0})  # the edge (n/2, n/2 + 1) joins two trees
+    assert verify_td_witness(g, split) == reference_verify_td_witness(g, split) == (False, n // 2)
+
+
 def test_witness_file_roundtrip():
     w = TreedepthWitness({1: 0, 2: 1, 3: 1})
     assert parse_witness(format_witness(w)) == w
