@@ -122,15 +122,12 @@ def _solve(args) -> int:
             print("error: --algo pruned needs --k", file=sys.stderr)
             return 2
         decision, cert = solve_pruned(g, k)
-    elif algo == "canonical":
+    else:  # "canonical": argparse admits no other --algo
         if k is None or not args.meta:
             print("error: --algo canonical needs --k and --meta", file=sys.stderr)
             return 2
         meta = parse_choice_groups(_read(args.meta))
         decision, cert = solve_canonical(g, meta, k)
-    else:
-        print(f"error: unknown algorithm '{algo}'", file=sys.stderr)
-        return 2
 
     if decision is None and k is not None:
         decision = minsize is not None and minsize <= k
@@ -160,52 +157,33 @@ def _solve(args) -> int:
 
 
 def _reduce(args) -> int:
-    prefix = args.output
-    payload = {"command": "reduce", "type": args.type, "input": args.input}
+    text = _read(args.input)
+    # each construction gives its reduction, its side files (suffix -> text)
+    # and the counts its REDUCED line adds
     if args.type == "smc":
-        red = reduce_smc(parse_smc(_read(args.input)))
-        _write(prefix + ".cvc", format_instance(red.graph))
-        _write(prefix + ".meta", format_choice_groups(red.meta))
-        print(f"REDUCED smc vertices={red.graph.n} edges={len(red.graph.edges)} k={red.budget}")
-        payload.update(k=red.budget, vertices=red.graph.n)
+        red = reduce_smc(parse_smc(text))
+        side, counts = {}, ""
     elif args.type == "sat-natural":
-        psi = parse_dimacs(_read(args.input))
+        psi = parse_dimacs(text)
         grouping = group_formula(psi, args.grouping)
-        families = [build_family(len(cg), 4) for cg in grouping.clause_groups]
-        red = reduce_sat_natural(psi, grouping, families)
-        _write(prefix + ".cvc", format_instance(red.graph))
-        _write(prefix + ".meta", format_choice_groups(red.meta))
-        for i, fam in enumerate(red.families, start=1):
-            _write(f"{prefix}.fam{i}", format_family(fam))
-        print(
-            f"REDUCED sat-natural vertices={red.graph.n} edges={len(red.graph.edges)} "
-            f"k={red.budget} variable-groups={len(grouping.variable_groups)} "
-            f"clause-groups={len(grouping.clause_groups)}"
-        )
-        payload.update(k=red.budget, vertices=red.graph.n)
+        red = reduce_sat_natural(psi, grouping, [build_family(len(cg), 4) for cg in grouping.clause_groups])
+        side = {f".fam{i}": format_family(fam) for i, fam in enumerate(red.families, start=1)}
+        counts = f" variable-groups={len(grouping.variable_groups)} clause-groups={len(grouping.clause_groups)}"
     elif args.type == "sat-cw":
-        red = reduce_sat_cw(parse_dimacs(_read(args.input)))
-        _write(prefix + ".cvc", format_instance(red.graph))
-        _write(prefix + ".meta", format_choice_groups(red.meta))
-        _write(prefix + ".cwx", format_expression(red.expression))
-        print(f"REDUCED sat-cw vertices={red.graph.n} edges={len(red.graph.edges)} k={red.budget}")
-        payload.update(k=red.budget, vertices=red.graph.n)
-    elif args.type == "mcc-td":
-        red = reduce_mcc_td(parse_mcc(_read(args.input)))
-        _write(prefix + ".cvc", format_instance(red.graph))
-        _write(prefix + ".meta", format_choice_groups(red.meta))
-        _write(prefix + ".tdw", format_witness(red.witness))
-        print(
-            f"REDUCED mcc-td vertices={red.graph.n} edges={len(red.graph.edges)} "
-            f"k={red.budget} choice-groups={len(red.choice_groups)} "
-            f"edge-groups={len(red.edge_groups)}"
-        )
-        payload.update(
-            k=red.budget, vertices=red.graph.n, choice_groups=len(red.choice_groups)
-        )
-    else:
-        print(f"error: unknown reduction '{args.type}'", file=sys.stderr)
-        return 2
+        red = reduce_sat_cw(parse_dimacs(text))
+        side, counts = {".cwx": format_expression(red.expression)}, ""
+    else:  # "mcc-td": argparse admits no other --type
+        red = reduce_mcc_td(parse_mcc(text))
+        side = {".tdw": format_witness(red.witness)}
+        counts = f" choice-groups={len(red.choice_groups)} edge-groups={len(red.edge_groups)}"
+    _write(args.output + ".cvc", format_instance(red.graph))
+    _write(args.output + ".meta", format_choice_groups(red.meta))
+    for suffix, side_text in side.items():
+        _write(args.output + suffix, side_text)
+    print(f"REDUCED {args.type} vertices={red.graph.n} edges={len(red.graph.edges)} k={red.budget}{counts}")
+    payload = {"command": "reduce", "type": args.type, "input": args.input, "k": red.budget, "vertices": red.graph.n}
+    if args.type == "mcc-td":
+        payload["choice_groups"] = len(red.choice_groups)
     _emit_json(args.json, payload)
     return 0
 
@@ -220,12 +198,19 @@ _VERIFY_NEEDS = {
 
 
 def _verify(args) -> int:
-    missing = [f"--{name}" for name in _VERIFY_NEEDS.get(args.type, ()) if getattr(args, name) is None]
+    missing = [f"--{name}" for name in _VERIFY_NEEDS[args.type] if getattr(args, name) is None]
     if missing:
         print(f"error: --type {args.type} needs {' and '.join(missing)}", file=sys.stderr)
         return 2
+    if args.type == "family":
+        family = parse_family(_read(args.family))
+        if is_detecting(args.universe, family, args.d):
+            print("VALID family")
+            return 0
+        print("INVALID family")
+        return 1
+    g = parse_instance(_read(args.input))
     if args.type == "orientation":
-        g = parse_instance(_read(args.input))
         orientation = parse_orientation(_read(args.cert), g)
         report = verify_orientation(g, orientation)
         if not report.feasible:
@@ -237,7 +222,6 @@ def _verify(args) -> int:
         print(f"VALID size={report.size}")
         return 0
     if args.type == "arrangement":
-        g = parse_instance(_read(args.input))
         arr = parse_arrangement(_read(args.arrangement))
         if len(arr) != g.n:
             raise StructuralError("arrangement size does not match the instance")
@@ -247,31 +231,19 @@ def _verify(args) -> int:
             return 1
         return 0
     if args.type == "expression":
-        g = parse_instance(_read(args.input))
         expr = parse_expression(_read(args.expr))
         if verify_cw_expression(expr, g):
             print("VALID expression")
             return 0
         print("INVALID expression")
         return 1
-    if args.type == "witness":
-        g = parse_instance(_read(args.input))
-        witness = parse_witness(_read(args.witness))
-        valid, depth = verify_td_witness(g, witness)
-        if valid:
-            print(f"VALID depth={depth}")
-            return 0
-        print("INVALID witness")
-        return 1
-    if args.type == "family":
-        family = parse_family(_read(args.family))
-        if is_detecting(args.universe, family, args.d):
-            print("VALID family")
-            return 0
-        print("INVALID family")
-        return 1
-    print(f"error: unknown verification '{args.type}'", file=sys.stderr)
-    return 2
+    # "witness": argparse admits no other --type
+    valid, depth = verify_td_witness(g, parse_witness(_read(args.witness)))
+    if valid:
+        print(f"VALID depth={depth}")
+        return 0
+    print("INVALID witness")
+    return 1
 
 
 def _gen(args) -> int:
@@ -279,11 +251,8 @@ def _gen(args) -> int:
         g = gnp(args.n, args.p, args.seed)
     elif args.model == "sparse":
         g = sparse_with_fes(args.n, args.fes, args.seed)
-    elif args.model == "layered":
+    else:  # "layered": argparse admits no other --model
         g = layered_with_ctw(args.n, args.ctw, args.seed, extra=args.extra)
-    else:
-        print(f"error: unknown model '{args.model}'", file=sys.stderr)
-        return 2
     _write(args.output, format_instance(g))
     if args.arrangement_out:
         _write(args.arrangement_out, format_arrangement(LinearArrangement(tuple(range(1, g.n + 1)))))

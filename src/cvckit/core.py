@@ -340,6 +340,15 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
+def _ints(fields: Iterable[str], lineno: int, what: str) -> list[int]:
+    """The integer value of each field of line ``lineno``; a field that is
+    not an integer is a ``GraphFormatError`` naming ``what`` it was."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: non-integer {what}") from None
+
+
 _PLAIN_LINES = re.compile(r"(?:[a-z]+ [0-9]+ [0-9]+\n)*")
 
 
@@ -428,11 +437,8 @@ def _parse_instance_lines(text: str) -> CapacitatedGraph:
     lineno, head = lines[0]
     if head[0] != "cvc" or len(head) not in (3, 4):
         raise GraphFormatError(f"line {lineno}: expected 'cvc <n> <m> [k]'")
-    try:
-        n, m = int(head[1]), int(head[2])
-        budget = int(head[3]) if len(head) == 4 else None
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: non-integer header field") from None
+    n, m, *rest = _ints(head[1:], lineno, "header field")
+    budget = rest[0] if rest else None
     if n < 0 or m < 0 or (budget is not None and budget < 0):
         raise GraphFormatError(f"line {lineno}: negative header field")
     if max(n, m) > len(lines) - 1:
@@ -449,10 +455,7 @@ def _parse_instance_lines(text: str) -> CapacitatedGraph:
         if kind == "v":
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'v <id> <capacity>'")
-            try:
-                v, c = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer vertex field") from None
+            v, c = _ints(parts[1:], lineno, "vertex field")
             if not 1 <= v <= n:
                 raise GraphFormatError(f"line {lineno}: unknown vertex id {v}")
             if caps[v] is not None:
@@ -463,10 +466,7 @@ def _parse_instance_lines(text: str) -> CapacitatedGraph:
         elif kind == "e":
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer edge field") from None
+            u, v = _ints(parts[1:], lineno, "edge field")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -520,10 +520,7 @@ def _parse_orientation_lines(text: str, g: CapacitatedGraph) -> Orientation:
     for lineno, parts in _content_lines(text):
         if parts[0] != "a" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'a <tail> <head>'")
-        try:
-            tail, head = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer arc field") from None
+        tail, head = _ints(parts[1:], lineno, "arc field")
         e = canonical_edge(tail, head)
         if e not in g.edge_set:
             raise StructuralError(f"line {lineno}: arc over a non-edge ({tail},{head})")

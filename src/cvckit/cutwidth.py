@@ -36,6 +36,7 @@ from .core import (
     Orientation,
     StructuralError,
     _content_lines,
+    _ints,
     normalize_capacities,
 )
 
@@ -68,14 +69,14 @@ class LinearArrangement:
 
 
 def parse_arrangement(text: str) -> LinearArrangement:
-    tokens = [t for _, parts in _content_lines(text) for t in parts]
-    if not tokens or tokens[0] != "arrangement":
+    records = list(_content_lines(text))
+    if not records or records[0][1][0] != "arrangement":
         raise GraphFormatError("expected 'arrangement <n>' header")
-    try:
-        n = int(tokens[1])
-        ids = [int(t) for t in tokens[2:]]
-    except (IndexError, ValueError):
-        raise GraphFormatError("malformed arrangement file") from None
+    del records[0][1][0]  # the count may follow on this line or a later one
+    values = [x for lineno, parts in records for x in _ints(parts, lineno, "field")]
+    if not values:
+        raise GraphFormatError("malformed arrangement file")
+    n, *ids = values
     if len(ids) != n:
         raise GraphFormatError(f"arrangement declares {n} vertices, lists {len(ids)}")
     return LinearArrangement(tuple(ids))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .core import CapExceededError, GraphFormatError, _content_lines
+from .core import CapExceededError, GraphFormatError, _content_lines, _ints
 
 DEFAULT_CHECK_CAP = 10**8
 
@@ -50,7 +50,8 @@ def is_detecting(
         raise GraphFormatError(f"index {outside[0]} outside universe 1..{universe_size}")
     if len({s[0] for s in sets if len(s) == 1}) == universe_size:  # every index is in 1..u
         return True
-    if d ** (2 * universe_size) > check_cap:
+    # d^(2U) > cap, without building d^(2U): for d >= 2, d^b > cap at b = cap.bit_length()
+    if d ** min(2 * universe_size, check_cap.bit_length()) > check_cap:
         raise CapExceededError("detecting-family check too large for the configured cap")
     seen: set[tuple[int, ...]] = set()
     for values in product(range(d), repeat=universe_size):
@@ -83,13 +84,7 @@ def build_family(universe_size: int, d: int, mode: str = "singleton") -> Detecti
 
 
 def parse_family(text: str) -> tuple[frozenset[int], ...]:
-    sets = []
-    for lineno, parts in _content_lines(text):
-        try:
-            sets.append(frozenset(int(x) for x in parts))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer index") from None
-    return tuple(sets)
+    return tuple(frozenset(_ints(parts, lineno, "index")) for lineno, parts in _content_lines(text))
 
 
 def format_family(family: DetectingFamily) -> str:

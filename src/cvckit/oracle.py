@@ -29,6 +29,7 @@ from .core import (
     _augment,
     _content_lines,
     _fold,
+    _ints,
     assign_edges,
     normalize_capacities,
     orient_into,
@@ -75,10 +76,7 @@ def parse_choice_groups(text: str) -> ChoiceGroups:
     groups: list[frozenset[int]] = []
     free: set[int] = set()
     for lineno, parts in _content_lines(text):
-        try:
-            ids = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id") from None
+        ids = _ints(parts[1:], lineno, "vertex id")
         if parts[0] == "forced":
             forced.update(ids)
         elif parts[0] == "group":
@@ -286,15 +284,23 @@ def solve_canonical(
 
     # Depth-first over one member per group, first member first, with an
     # explicit stack so that the depth is not bounded by the group count.
+    # The stack holds (depth, member picked in group depth - 1); ``path``
+    # holds the members picked above the popped node, so memory is linear
+    # in the groups.
     found = None
-    stack = [(0, base)]
+    path: list[int] = []
+    stack = [(0, None)]
     while stack and found is None:
-        depth, chosen = stack.pop()
+        depth, member = stack.pop()
+        del path[max(depth - 1, 0):]
+        if depth:
+            path.append(member)
+        chosen = base.union(path)
         # everything a selection may still gain from this depth on
         if not feasible(chosen.union(free_optional, *groups[depth:])):
             continue
         if depth < len(groups):
-            stack.extend((depth + 1, chosen | {member}) for member in reversed(groups[depth]))
+            stack.extend((depth + 1, member) for member in reversed(groups[depth]))
         else:
             for combo in combinations(free_optional, take):
                 if feasible(chosen.union(combo)):

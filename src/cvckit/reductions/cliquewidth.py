@@ -8,7 +8,7 @@ target instance, vertex ids and edge set both exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _content_lines
+from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _content_lines, _ints
 
 MAX_LABELS = 6
 
@@ -75,10 +75,7 @@ def parse_expression(text: str) -> CliquewidthExpression:
     for lineno, parts in _content_lines(text):
         if parts[0] not in ("intro", "join", "relabel") or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: unknown operation")
-        try:
-            ops.append((parts[0], int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
+        ops.append((parts[0], *_ints(parts[1:], lineno, "field")))
     return CliquewidthExpression(tuple(ops))
 
 

@@ -16,7 +16,7 @@ grows linearly in the class count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _plain_records
+from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _ints, _plain_records
 from ..oracle import ChoiceGroups
 from ._builder import Builder
 
@@ -116,10 +116,7 @@ def _parse_witness_lines(text: str) -> TreedepthWitness:
     for lineno, parts in _content_lines(text):
         if parts[0] != "parent" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'parent <v> <p|0>'")
-        try:
-            v, p = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
+        v, p = _ints(parts[1:], lineno, "field")
         if v in parent:
             raise GraphFormatError(f"line {lineno}: duplicate entry for {v}")
         parent[v] = p
@@ -140,10 +137,7 @@ def parse_mcc(text: str) -> MccInstance:
         kind = parts[0]
         if not (kind in ("mcc", "e") and len(parts) == 3 or kind == "class" and len(parts) >= 2):
             raise GraphFormatError(f"line {lineno}: unknown record")
-        try:
-            ids = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
+        ids = _ints(parts[1:], lineno, "field")
         if kind == "mcc":
             if header is not None:
                 raise GraphFormatError(f"line {lineno}: second mcc header")

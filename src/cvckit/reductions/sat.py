@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from ..core import CapacitatedGraph, GraphFormatError, StructuralError
+from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _ints
 from ..detecting import DetectingFamily, is_detecting
 from ..oracle import ChoiceGroups
 from ._builder import Builder
@@ -60,17 +60,11 @@ def parse_dimacs(text: str) -> Cnf1in3:
                 raise GraphFormatError(f"line {lineno}: expected 'p cnf <n> <m>'")
             if num_vars is not None:
                 raise GraphFormatError(f"line {lineno}: second 'p cnf' header")
-            try:
-                num_vars, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header field") from None
+            num_vars, declared = _ints(parts[2:], lineno, "header field")
             continue
         if num_vars is None:
             raise GraphFormatError(f"line {lineno}: clause before header")
-        try:
-            lits = [int(x) for x in parts]
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer literal") from None
+        lits = _ints(parts, lineno, "literal")
         if lits and lits[-1] == 0:
             lits = lits[:-1]
         if len(lits) != 3:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacitatedGraph, GraphFormatError, _content_lines
+from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _ints
 from ..oracle import ChoiceGroups
 from ._builder import Builder
 
@@ -68,10 +68,7 @@ def parse_smc(text: str) -> SmcInstance:
         if parts[0] == "smc":
             if header is not None or len(parts) != 5:
                 raise GraphFormatError(f"line {lineno}: bad smc header")
-            try:
-                header = tuple(int(x) for x in parts[1:])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            header = _ints(parts[1:], lineno, "header")
             if min(header) < 0:
                 raise GraphFormatError(f"line {lineno}: negative header field")
         elif parts[0] == "set":
@@ -90,7 +87,7 @@ def parse_smc(text: str) -> SmcInstance:
     if header is None:
         raise GraphFormatError("missing smc header")
     m, n, b, k = header
-    if set(sets) != set(range(1, n + 1)):
+    if len(sets) != n or set(sets) != set(range(1, n + 1)):
         raise GraphFormatError(f"expected sets 1..{n}")
     return SmcInstance(m, tuple(sets[j] for j in range(1, n + 1)), b, k)
 

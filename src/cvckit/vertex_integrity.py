@@ -32,6 +32,7 @@ from .core import (
     Orientation,
     StructuralError,
     _content_lines,
+    _ints,
     normalize_capacities,
 )
 
@@ -80,10 +81,7 @@ def parse_modulator(text: str) -> tuple[int, ...]:
     for lineno, parts in _content_lines(text):
         if parts[0] != "modulator" or vertices is not None:
             raise GraphFormatError(f"line {lineno}: expected one 'modulator <ids...>' record")
-        try:
-            vertices = tuple(sorted(int(x) for x in parts[1:]))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id") from None
+        vertices = tuple(sorted(_ints(parts[1:], lineno, "vertex id")))
     return vertices or ()
 
 

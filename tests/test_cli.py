@@ -15,7 +15,12 @@ from cvckit.core import CapExceededError, Orientation, format_instance, parse_in
 from cvckit.cutwidth import LinearArrangement, format_arrangement
 from cvckit.fes import feedback_edge_set
 from cvckit.generators import layered_with_ctw
-from cvckit.reductions.sat import group_formula, parse_dimacs
+from cvckit.detecting import build_family, format_family
+from cvckit.oracle import format_choice_groups
+from cvckit.reductions.cliquewidth import format_expression
+from cvckit.reductions.mcc import format_witness, parse_mcc, reduce_mcc_td
+from cvckit.reductions.sat import group_formula, parse_dimacs, reduce_sat_cw, reduce_sat_natural
+from cvckit.reductions.smc import parse_smc, reduce_smc
 
 TRIANGLE = "cvc 3 3\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 K2 = "cvc 2 1\nv 1 1\nv 2 1\ne 1 2\n"
@@ -461,3 +466,60 @@ def test_bench_config_error_leaves_stdout_empty(capsys, argv):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "x.cvc", "--algo", "magic"],
+    ["reduce", "--type", "magic", "--input", "x", "--output", "y"],
+    ["verify", "--type", "magic", "--input", "x.cvc"],
+    ["gen", "--model", "magic", "--n", "3", "--output", "y.cvc"],
+])
+def test_unknown_choice_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'magic'" in capsys.readouterr().err
+
+
+def reduction_files(kind, text):
+    """suffix -> text of each file ``reduce --type kind`` writes, from the construction and its formatters."""
+    if kind == "smc":
+        red, side = reduce_smc(parse_smc(text)), {}
+    elif kind == "sat-natural":
+        psi = parse_dimacs(text)
+        grouping = group_formula(psi, "greedy")
+        red = reduce_sat_natural(psi, grouping, [build_family(len(cg), 4) for cg in grouping.clause_groups])
+        side = {f".fam{i}": format_family(fam) for i, fam in enumerate(red.families, start=1)}
+    elif kind == "sat-cw":
+        red = reduce_sat_cw(parse_dimacs(text))
+        side = {".cwx": format_expression(red.expression)}
+    else:
+        red = reduce_mcc_td(parse_mcc(text))
+        side = {".tdw": format_witness(red.witness)}
+    return {".cvc": format_instance(red.graph), ".meta": format_choice_groups(red.meta), **side}
+
+
+CNF = "p cnf 4 2\n1 2 3 0\n-1 2 4 0\n"
+
+
+@pytest.mark.parametrize("kind, text, line, payload", [
+    ("smc", "smc 2 2 1 1\nset 1 1 2\nset 2 2\n", "REDUCED smc vertices=12 edges=11 k=3",
+     {"k": 3, "vertices": 12}),
+    ("sat-natural", CNF, "REDUCED sat-natural vertices=92 edges=101 k=10 variable-groups=3 clause-groups=2",
+     {"k": 10, "vertices": 92}),
+    ("sat-cw", CNF, "REDUCED sat-cw vertices=360 edges=376 k=20", {"k": 20, "vertices": 360}),
+    ("mcc-td", "mcc 2 2\nclass 1 1 2\nclass 2 3 4\ne 1 3\ne 2 4\n",
+     "REDUCED mcc-td vertices=34176 edges=34256 k=192 choice-groups=12 edge-groups=4",
+     {"k": 192, "vertices": 34176, "choice_groups": 12}),
+])
+def test_reduce_writes_the_formatted_construction(tmp_path, capsys, kind, text, line, payload):
+    src = put(tmp_path, "input", text)
+    out = tmp_path / "out"
+    out.mkdir()
+    report = tmp_path / "r.json"
+    argv = ["reduce", "--type", kind, "--input", src, "--output", str(out / "red"), "--json", str(report)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+    written = {path.name: path.read_text() for path in out.iterdir()}
+    assert written == {"red" + suffix: body for suffix, body in reduction_files(kind, text).items()}
+    assert json.loads(report.read_text()) == {"command": "reduce", "type": kind, "input": src, **payload}

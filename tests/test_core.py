@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvckit.core import (
     CapacitatedGraph,
     GraphFormatError,
     Orientation,
     StructuralError,
+    _content_lines,
     assign_edges,
     format_instance,
     format_orientation,
@@ -20,6 +23,7 @@ from cvckit.detecting import parse_family
 from cvckit.oracle import ChoiceGroups, parse_choice_groups
 from cvckit.reductions.cliquewidth import CliquewidthExpression, parse_expression
 from cvckit.reductions.mcc import MccInstance, TreedepthWitness, parse_mcc, parse_witness
+from cvckit.reductions.sat import parse_dimacs
 from cvckit.reductions.smc import SmcInstance, parse_smc
 from cvckit.vertex_integrity import parse_modulator
 from bruteforce import brute_assignable
@@ -278,3 +282,70 @@ def test_record_files_skip_comments_and_name_bad_lines(parse, records, value, ba
         parse(HEAD + bad)
     if bad_line is not None:
         assert str(err.value).startswith(f"line {bad_line}:")
+
+
+PATH3 = graph(3, [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 1})
+
+NON_INTEGER_FIELDS = [
+    # (parser, text, message): one row per record whose integer fields are read
+    (parse_instance, "cvc 2 x\n", "line 1: non-integer header field"),
+    (parse_instance, "cvc 1 0\nv 1 x\n", "line 2: non-integer vertex field"),
+    (parse_instance, "cvc 2 1\nv 1 1\nv 2 1\ne 1 x\n", "line 4: non-integer edge field"),
+    (lambda text: parse_orientation(text, PATH3), "a 1 2\na 3 x\n", "line 2: non-integer arc field"),
+    (parse_family, "1\n2 x\n", "line 2: non-integer index"),
+    (parse_choice_groups, "forced 1\ngroup 2 x\n", "line 2: non-integer vertex id"),
+    (parse_modulator, "modulator 1 x\n", "line 1: non-integer vertex id"),
+    (parse_expression, "intro 1 1\njoin 1 x\n", "line 2: non-integer field"),
+    (parse_witness, "parent 1 0\nparent x 1\n", "line 2: non-integer field"),
+    (parse_mcc, "mcc 2 1\nclass 1 x\n", "line 2: non-integer field"),
+    (parse_smc, "smc 1 1 x 1\n", "line 1: non-integer header"),
+    (parse_dimacs, "c comment\np cnf 3 x\n", "line 2: non-integer header field"),
+    (parse_dimacs, "p cnf 3 1\n1 2 x 0\n", "line 2: non-integer literal"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", NON_INTEGER_FIELDS)
+def test_non_integer_field_names_its_line_and_field(parse, text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def parse_arrangement_tokens(text):
+    """The token reader ``parse_arrangement`` replaced, which named no line."""
+    tokens = [t for _, parts in _content_lines(text) for t in parts]
+    if not tokens or tokens[0] != "arrangement":
+        raise GraphFormatError("expected 'arrangement <n>' header")
+    try:
+        n = int(tokens[1])
+        ids = [int(t) for t in tokens[2:]]
+    except (IndexError, ValueError):
+        raise GraphFormatError("malformed arrangement file") from None
+    if len(ids) != n:
+        raise GraphFormatError(f"arrangement declares {n} vertices, lists {len(ids)}")
+    return LinearArrangement(tuple(ids))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except (GraphFormatError, StructuralError) as exc:
+        return type(exc)
+
+
+@given(st.lists(st.sampled_from(["arrangement", "2", "1", "0", "-1", "x", "#", "", "\n", "\n"]), max_size=10))
+@settings(max_examples=300, deadline=None)
+@example(["arrangement", "\n", "2", "\n", "2", "1"])
+def test_arrangement_accepts_what_the_token_reader_accepted(tokens):
+    text = " ".join(tokens)
+    assert outcome(parse_arrangement, text) == outcome(parse_arrangement_tokens, text)
+
+
+def test_arrangement_errors_name_the_line_of_a_non_integer():
+    assert parse_arrangement("arrangement  # count on the next line\n2\n2 1\n") == LinearArrangement((2, 1))
+    with pytest.raises(GraphFormatError, match="^line 3: non-integer field$"):
+        parse_arrangement("arrangement 2\n1\nx\n")
+    with pytest.raises(GraphFormatError, match="^line 1: non-integer field$"):
+        parse_arrangement("arrangement x\n")
+    with pytest.raises(GraphFormatError, match="^malformed arrangement file$"):
+        parse_arrangement("# no count\narrangement\n")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -133,3 +134,24 @@ def test_singleton_family_detects_above_the_cap():
     assert is_detecting(30, family, 4, check_cap=10**6)
     with pytest.raises(CapExceededError):
         is_detecting(30, family[1:], 4, check_cap=10**6)
+
+
+def test_cap_refusal_does_not_build_the_power():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            is_detecting(10**7, [{1}], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_cap_refuses_exactly_when_the_power_exceeds_it():
+    family = [set()]  # no singleton, so the cap applies
+    for universe, d, cap in product(range(1, 5), range(1, 5), (-1, 0, 1, 15, 16, 17, 4095, 4096, 10**8)):
+        if d ** (2 * universe) > cap:
+            with pytest.raises(CapExceededError):
+                is_detecting(universe, family, d, check_cap=cap)
+        else:
+            assert is_detecting(universe, family, d, check_cap=cap) == (d == 1)

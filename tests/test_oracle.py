@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -317,3 +318,19 @@ def test_pruned_answers_smc_with_identical_sets():
     yes, cert = solve_pruned(red.graph, red.budget)
     rep = verify_orientation(red.graph, cert)
     assert yes and rep.feasible and rep.size <= red.budget
+
+
+def test_canonical_memory_is_linear_in_the_groups():
+    # 600 groups of two: a stack of chosen sets held about 8.5 MB here
+    n = 1200
+    edges = [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
+    g = graph(n, edges, [1] * n)
+    meta = ChoiceGroups(frozenset(), tuple(frozenset(e) for e in edges), frozenset())
+    tracemalloc.start()
+    try:
+        yes, cert = solve_canonical(g, meta, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert yes and verify_orientation(g, cert).size == n // 2
+    assert peak < 2_000_000

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -81,3 +82,14 @@ def test_smc_file_roundtrip():
 def test_smc_parse_rejects_bad_element():
     with pytest.raises(GraphFormatError):
         parse_smc("smc 2 1 1 1\nset 1 5\n")
+
+
+def test_header_set_count_allocates_nothing_before_the_refusal():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match=r"^expected sets 1\.\.1000000$"):
+            parse_smc("smc 1 1000000 1 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
