@@ -99,6 +99,7 @@ def _solve(args) -> int:
     decision = None
     minsize = None
     cert = None
+    stats = None
     if algo == "auto":
         for algo, minimize in MINIMIZERS.items():
             try:
@@ -113,10 +114,11 @@ def _solve(args) -> int:
         minsize, cert = MINIMIZERS[algo](g, args)
     elif algo == "vi":
         modulator = parse_modulator(_read(args.modulator)) if args.modulator else None
+        stats = {}
         if k is None:
-            minsize, cert = solve_vi_opt(g, modulator=modulator)
+            minsize, cert = solve_vi_opt(g, modulator=modulator, stats=stats)
         else:
-            decision, cert = solve_vi(g, k, modulator=modulator)
+            decision, cert = solve_vi(g, k, modulator=modulator, stats=stats)
     elif algo == "pruned":
         if k is None:
             print("error: --algo pruned needs --k", file=sys.stderr)
@@ -139,6 +141,8 @@ def _solve(args) -> int:
         _write(args.cert_out, format_orientation(cert))
 
     payload = {"command": "solve", "algo": algo, "input": args.input, "k": k}
+    if stats is not None:
+        payload["stats"] = stats
     if k is not None:
         answer = "yes" if decision else "no"
         print(f"FEASIBLE {answer}")

@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _ints
+from ..core import CapacitatedGraph, CapExceededError, GraphFormatError, StructuralError, _ints
 from ..detecting import DetectingFamily, is_detecting
 from ..oracle import ChoiceGroups
 from ._builder import Builder
 from .cliquewidth import CliquewidthExpression
 
 Literal = tuple[int, bool]  # (variable, positive?)
+
+MAX_NATURAL_VERTICES = 10**6  # larger sat-natural outputs are refused before they are built
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,12 @@ def reduce_sat_natural(
     n_v = len(grouping.variable_groups)
     total_sets = sum(len(f.sets) for f in families)
     k = 2 * n_v + 2 * total_sets
+    # choice heads, assignment vertices, test pairs, and k + 1 leaves per marked vertex
+    marked_count = n_v + 2 * total_sets
+    size = marked_count + sum(1 << len(vgroup) for vgroup in grouping.variable_groups)
+    size += marked_count * (k + 1)
+    if size > MAX_NATURAL_VERTICES:
+        raise CapExceededError(f"sat-natural output would have {size} vertices, cap is {MAX_NATURAL_VERTICES}")
 
     b = Builder()
     choice_heads: list[int] = []  # u_p ids

@@ -2,6 +2,12 @@
 catalog each leftover component's valid partial orientations, then pick one
 option per component under shared capacity budgets.
 
+Without a given modulator, ``compute_modulator`` finds one of least
+vertex integrity by a depth-first walk over deletion sets that cuts a
+branch once the vertices it can no longer delete hold a component too
+large to beat the incumbent: an improving set of size s must hit every
+connected set of (incumbent − s) vertices.
+
 The component selection step is a block-structured program: one local
 "pick exactly one option" constraint per component, plus global constraints
 tying component loads to the modulator residuals and the solution size.
@@ -112,17 +118,26 @@ def components_outside(g: CapacitatedGraph, modulator: Iterable[int]) -> list[tu
 
 
 def compute_modulator(
-    g: CapacitatedGraph, *, exact_cap: int = DEFAULT_MODULATOR_CAP
+    g: CapacitatedGraph, *, exact_cap: int = DEFAULT_MODULATOR_CAP, stats: dict | None = None
 ) -> Modulator:
     """Minimum vertex integrity with a witnessing set, by exact search.
 
-    Tries deletion sets in increasing size, each size in ``combinations``
+    Walks deletion sets in increasing size, each size in ``combinations``
     order, and keeps the first set of the smallest value; a set of size s
     can only beat the incumbent when s + 1 is still smaller, since at least
-    one vertex remains outside.  Vertex sets are bitmasks: components are
-    grown breadth-first, one frontier at a time, from closed
-    neighbourhoods, and a candidate is dropped as soon as one of its
-    components is large enough that it cannot beat the incumbent.
+    one vertex remains outside.  Each size is walked depth-first, one pick
+    per level.  Every vertex below the next pick that is not deleted is
+    frozen: no later pick of the branch removes it.  With limit =
+    incumbent − s, a branch is cut, together with its later siblings
+    (which freeze a superset), once a component of the frozen vertices
+    has ``limit`` vertices, or a just-frozen vertex keeps at least
+    ``limit`` of its closed neighbourhood after the picks still to make.
+    Only sets that cannot beat the incumbent are skipped, so the result is
+    that of scoring every set.  The other sets are scored by growing
+    bitmask components breadth-first from closed neighbourhoods, and a set
+    is dropped as soon as one of its components reaches the limit.
+
+    ``stats["modulator_sets"]`` receives the number of sets scored.
     """
     if g.n > exact_cap:
         raise CapExceededError(f"modulator search capped at {exact_cap} vertices, got {g.n}")
@@ -155,15 +170,43 @@ def compute_modulator(
     full = (1 << n) - 1
     best = largest_component(full, n + 1)
     best_cut = 0
-    bits = [1 << i for i in range(n)]
+    scored = 0
+
+    def search(cut: int, lo: int, r: int, frozen: list[int]) -> None:
+        """Pick r more vertices of index lo or above, in ``combinations``
+        order; ``frozen`` holds the components of the frozen vertices."""
+        nonlocal best, best_cut, scored
+        for i in range(lo, n - r + 1):
+            bit = 1 << i
+            if r == 1:
+                scored += 1
+                val = s + largest_component(full ^ cut ^ bit, best - s)
+                if val < best:
+                    best, best_cut = val, cut | bit
+            else:
+                search(cut | bit, i + 1, r - 1, frozen)
+            # vertex i is skipped, so it is frozen for the rest of the loop
+            limit = best - s
+            nb = closed[i]
+            if (nb & ~cut).bit_count() - r >= limit:
+                return
+            comp, rest = bit, []
+            for c in frozen:
+                if c & nb:
+                    comp |= c
+                else:
+                    rest.append(c)
+            if comp.bit_count() >= limit:
+                return
+            rest.append(comp)
+            frozen = rest
+
     for s in range(1, n + 1):
         if s + 1 >= best:
             break
-        for cand in combinations(bits, s):
-            cut = sum(cand)
-            val = s + largest_component(full ^ cut, best - s)
-            if val < best:
-                best, best_cut = val, cut
+        search(0, 0, s, [])
+    if stats is not None:
+        stats["modulator_sets"] = scored
     return Modulator(tuple(v for v in g.vertices() if best_cut >> (v - 1) & 1), best)
 
 
@@ -441,8 +484,11 @@ def _vi_engine(
     stats: dict | None,
 ):
     g = normalize_capacities(g)
+    if stats is not None:
+        stats.setdefault("guesses", 0)
+        stats.setdefault("modulator_sets", 0)
     if modulator is None:
-        mod = compute_modulator(g).vertices
+        mod = compute_modulator(g, stats=stats).vertices
     else:
         mod = tuple(sorted(set(modulator)))
         outside = [u for u in mod if not 1 <= u <= g.n]
@@ -450,7 +496,6 @@ def _vi_engine(
             raise StructuralError(f"modulator vertex {outside[0]} is not in 1..{g.n}")
     comps = components_outside(g, mod)
     if stats is not None:
-        stats.setdefault("guesses", 0)
         stats["modulator"] = mod
 
     best: int | float = INF

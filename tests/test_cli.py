@@ -10,6 +10,7 @@ import pytest
 import cvckit.cli as cli
 import cvckit.cutwidth as cutwidth
 import cvckit.fes as fes
+import cvckit.reductions.sat as sat
 from cvckit.cli import main
 from cvckit.core import CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
 from cvckit.cutwidth import LinearArrangement, format_arrangement
@@ -102,6 +103,20 @@ def test_solve_json_report(tmp_path, capsys):
     assert main(["solve", "--input", inp, "--algo", "oracle", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["minsize"] == 3 and payload["algo"] == "oracle"
+
+
+def test_solve_vi_json_reports_stats(tmp_path, capsys):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--input", inp, "--algo", "vi", "--json", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    assert set(stats) == {"guesses", "modulator", "modulator_sets"}
+    # one set of size 1 is scored; its vertex's neighbours then cut the rest
+    assert stats["modulator"] == [] and stats["modulator_sets"] == 1 and stats["guesses"] >= 1
+    mod = put(tmp_path, "t.mod", "modulator 1\n")
+    assert main(["solve", "--input", inp, "--algo", "vi", "--k", "3", "--modulator", mod, "--json", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    assert stats["modulator"] == [1] and stats["modulator_sets"] == 0
 
 
 def test_solve_config_error(tmp_path, capsys):
@@ -251,6 +266,27 @@ def test_reduce_sat_natural_emits_families(tmp_path, capsys):
     assert main(["reduce", "--type", "sat-natural", "--input", src, "--output", prefix]) == 0
     fam = str(tmp_path / "nat.fam1")
     assert main(["verify", "--type", "family", "--family", fam, "--universe", "1", "--d", "4"]) == 0
+
+
+def test_reduce_sat_natural_refuses_a_large_declared_header(tmp_path, capsys):
+    # one clause over 20,000 declared variables would build about 27 million vertices
+    src = put(tmp_path, "f.cnf", "p cnf 20000 1\n1 2 3 0\n")
+    assert_config_error(["reduce", "--type", "sat-natural", "--input", src,
+                         "--output", str(tmp_path / "nat")], capsys)
+    assert not (tmp_path / "nat.cvc").exists()
+
+
+@pytest.mark.parametrize("grouping", ["trivial", "greedy"])
+def test_sat_natural_cap_counts_the_output_exactly(monkeypatch, grouping):
+    psi = parse_dimacs(random_formula(9, 5, seed=3))
+    groups = group_formula(psi, grouping)
+    families = [build_family(len(cg), 4) for cg in groups.clause_groups]
+    n = reduce_sat_natural(psi, groups, families).graph.n
+    monkeypatch.setattr(sat, "MAX_NATURAL_VERTICES", n)
+    assert reduce_sat_natural(psi, groups, families).graph.n == n
+    monkeypatch.setattr(sat, "MAX_NATURAL_VERTICES", n - 1)
+    with pytest.raises(CapExceededError, match=f"{n} vertices"):
+        reduce_sat_natural(psi, groups, families)
 
 
 def random_formula(num_vars, num_clauses, seed):

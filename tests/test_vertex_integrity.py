@@ -458,6 +458,57 @@ def test_modulator_matches_reference_loop():
         assert compute_modulator(g) == _reference_modulator(g)
 
 
+def _three_hub_graph(rng, blocks):
+    """Connected gnp(5, 0.5) blocks around 3 shared vertices that meet every
+    block, relabelled at random; its vertex integrity is at most 8."""
+    hub, size = 3, 5
+    edges = [(u, v) for u, v in combinations(range(1, hub + 1), 2) if rng.random() < 0.5]
+    offset = hub
+    for _ in range(blocks):
+        draws = (gnp(size, 0.5, rng.randrange(10**9)) for _ in range(1000))
+        block = next(b for b in draws if len(components_outside(b, ())) == 1)
+        edges += [(u + offset, v + offset) for u, v in block.edges]
+        for u in range(1, hub + 1):
+            met = [v for v in range(1, size + 1) if rng.random() < 0.3] or [rng.randint(1, size)]
+            edges += [(u, v + offset) for v in met]
+        offset += size
+    image = [0] + rng.sample(range(1, offset + 1), offset)
+    return graph(offset, [(image[u], image[v]) for u, v in edges], {})
+
+
+def test_modulator_matches_reference_on_dense_and_planted_graphs():
+    rng = random.Random(67)
+    graphs = [graph(n, list(combinations(range(1, n + 1), 2)), {}) for n in range(1, 13)]
+    for a, b in [(1, 1), (1, 9), (2, 7), (3, 9), (4, 4), (5, 8), (6, 6), (7, 7)]:
+        graphs.append(graph(a + b, [(u, a + v) for u in range(1, a + 1) for v in range(1, b + 1)], {}))
+    graphs += [gnp(n, p, seed) for n in (14, 15) for p, seed in [(0.8, 1), (0.8, 2), (1.0, 1)]]
+    graphs += [_three_hub_graph(rng, 3) for _ in range(3)]
+    for g in graphs:
+        assert compute_modulator(g) == _reference_modulator(g)
+
+
+def test_modulator_search_scores_few_sets_on_a_planted_graph():
+    g = _three_hub_graph(random.Random(71), 3)
+    assert g.n == 18
+    stats = {}
+    assert compute_modulator(g, stats=stats).vi <= 8
+    # scoring every set up to size 6 would be 31,179 sets
+    assert stats["modulator_sets"] <= 174
+    engine_stats = {}
+    solve_vi_opt(g, stats=engine_stats)
+    assert engine_stats["modulator_sets"] == stats["modulator_sets"]
+
+
+def test_modulator_search_past_the_cap_on_a_63_vertex_planted_graph():
+    g = _three_hub_graph(random.Random(73), 12)
+    assert g.n == 63
+    stats = {}
+    mod = compute_modulator(g, exact_cap=g.n, stats=stats)
+    assert mod.vi <= 8 and len(mod.vertices) <= 3
+    # scoring every set up to size 6 would be about 75.6 million sets
+    assert stats["modulator_sets"] <= 22_464
+
+
 def test_component_orientations_match_reference():
     rng = random.Random(67)
     compared = 0
