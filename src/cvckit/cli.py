@@ -169,7 +169,7 @@ def _reduce(args) -> int:
         side, counts = {}, ""
     elif args.type == "sat-natural":
         psi = parse_dimacs(text)
-        grouping = group_formula(psi, args.grouping)
+        grouping = group_formula(psi, "greedy")
         red = reduce_sat_natural(psi, grouping, [build_family(len(cg), 4) for cg in grouping.clause_groups])
         side = {f".fam{i}": format_family(fam) for i, fam in enumerate(red.families, start=1)}
         counts = f" variable-groups={len(grouping.variable_groups)} clause-groups={len(grouping.clause_groups)}"
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--type", required=True, choices=["smc", "sat-natural", "sat-cw", "mcc-td"])
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output", required=True, help="output path prefix")
-    p_reduce.add_argument("--grouping", default="greedy", choices=["trivial", "greedy"])
     p_reduce.add_argument("--json")
     p_reduce.set_defaults(func=_reduce)
 

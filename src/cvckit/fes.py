@@ -167,14 +167,13 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
     roots, _, children, order = _root_forest(n, fi.forest_edges)
     # f[v] = (cost with parent arc outward, cost with parent arc inward)
     f: list[tuple[int | float, int | float]] = [(0, 0)] * (n + 1)
-    # plan[v] = ((flippable children taken per pin), forced, sorted flippable)
-    plan: list[tuple[tuple[int, int], list, list]] = [((0, 0), [], [])] * (n + 1)
+
+    def values(v: int) -> tuple[tuple, tuple, list, list]:
+        return _vertex_values(cap[v] - preload[v], preload[v] > 0, children[v], f)
+
     for v in reversed(order):
-        (out_cost, out_taken), (in_cost, in_taken), forced, flippable = _vertex_values(
-            cap[v] - preload[v], preload[v] > 0, children[v], f
-        )
+        (out_cost, _), (in_cost, _), _, _ = values(v)
         f[v] = (out_cost, in_cost)
-        plan[v] = ((out_taken, in_taken), forced, flippable)
 
     total = sum(f[r][0] for r in roots)
     if math.isinf(total):
@@ -185,8 +184,9 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
         stack = [(r, 0)]
         while stack:
             v, pin = stack.pop()
-            taken, forced, flippable = plan[v]
-            inward = {*forced, *(c for _, c in flippable[: taken[pin]])}
+            # f is final, so this repeats the bottom-up pass's picks at v
+            *per_pin, forced, flippable = values(v)
+            inward = {*forced, *(c for _, c in flippable[: per_pin[pin][1]])}
             for c in children[v]:
                 e = (v, c) if v < c else (c, v)
                 if c in inward:

@@ -210,14 +210,16 @@ class _Builder(Builder):
         self.marked.append(v)
         return v
 
-    def bundle(self, count: int, a: int, b: int, attach: int) -> None:
-        """A `count`-edge: that many parallel pendant-forced degree-2
-        vertices between a and b, hanging under `attach` in the witness."""
-        for _ in range(count):
-            z = self.marked_vertex(1)
-            self.edge(z, a)
-            self.edge(z, b)
-            self.parent[z] = attach
+    def unary(self, v: int, j: int, lo: int, hi: int) -> None:
+        """Index j in unary from both ends: j parallel pendant-forced
+        degree-2 vertices between v and lo, then n - j between v and hi,
+        all hanging under v in the witness."""
+        for count, hub in ((j, lo), (self.n - j, hi)):
+            for _ in range(count):
+                z = self.marked_vertex(1)
+                self.edge(z, v)
+                self.edge(z, hub)
+                self.parent[z] = v
 
     def choice_instance(self, cls: int) -> dict:
         head = self.marked_vertex(1)
@@ -246,16 +248,12 @@ def _build_gadget(b: _Builder, epair, lo1, hi1, lo2, hi2) -> dict:
             pair_vertices[(j, jp)] = ve
             b.edge(ehead, ve)
         for j, v in enumerate(row[i]["picks"], start=1):
-            b.bundle(j, v, alpha, attach=v)
-            b.bundle(n - j, v, beta, attach=v)
+            b.unary(v, j, alpha, beta)
         for jp, v in enumerate(col[ip]["picks"], start=1):
-            b.bundle(jp, v, kappa, attach=v)
-            b.bundle(n - jp, v, lam, attach=v)
+            b.unary(v, jp, kappa, lam)
         for (j, jp), ve in pair_vertices.items():
-            b.bundle(n - j, ve, alpha, attach=ve)
-            b.bundle(j, ve, beta, attach=ve)
-            b.bundle(n - jp, ve, kappa, attach=ve)
-            b.bundle(jp, ve, lam, attach=ve)
+            b.unary(ve, n - j, alpha, beta)
+            b.unary(ve, n - jp, kappa, lam)
         chain = [alpha, beta, kappa, lam, ehead, row[i]["head"], col[ip]["head"]]
         for prev, cur in zip(chain, chain[1:]):
             b.parent[cur] = prev
@@ -282,11 +280,9 @@ def _build_gadget(b: _Builder, epair, lo1, hi1, lo2, hi2) -> dict:
         g2 = b.marked_vertex(n)
         copy_vertices.extend((g1, g2))
         for j, v in enumerate(parent_inst["picks"], start=1):
-            b.bundle(j, v, g1, attach=v)
-            b.bundle(n - j, v, g2, attach=v)
+            b.unary(v, j, g1, g2)
         for j, v in enumerate(sub_inst["picks"], start=1):
-            b.bundle(n - j, v, g1, attach=v)
-            b.bundle(j, v, g2, attach=v)
+            b.unary(v, n - j, g1, g2)
 
     for p in range(lo1, hi1 + 1):
         pair = (subs[0], subs[1]) if p <= mid1 else (subs[2], subs[3])

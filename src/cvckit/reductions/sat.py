@@ -95,27 +95,33 @@ class Grouping:
     clause_groups: tuple[tuple[int, ...], ...]  # clause indices, 0-based
 
 
+def _occurrences(psi: Cnf1in3, grouping: Grouping) -> dict[tuple[int, int], tuple[int, Literal]] | None:
+    """The occurrence of each variable group p inside each clause group i,
+    as ``{(p, i): (clause index, literal)}``, found in one walk over every
+    clause group's literals.  None unless the groups partition the
+    variables and the clauses and no pair of groups shares two occurrences."""
+    vs = sorted(v for grp in grouping.variable_groups for v in grp)
+    if vs != list(range(1, psi.num_vars + 1)):
+        return None
+    cs = sorted(c for grp in grouping.clause_groups for c in grp)
+    if cs != list(range(len(psi.clauses))):
+        return None
+    group_of = {v: p for p, vgroup in enumerate(grouping.variable_groups) for v in vgroup}
+    occurrence: dict[tuple[int, int], tuple[int, Literal]] = {}
+    for i, cgroup in enumerate(grouping.clause_groups):
+        for c in cgroup:
+            for lit in psi.clauses[c]:
+                key = (group_of[lit[0]], i)
+                if key in occurrence:
+                    return None
+                occurrence[key] = (c, lit)
+    return occurrence
+
+
 def verify_grouping(psi: Cnf1in3, grouping: Grouping) -> bool:
     """Check the partition property: for each variable group and clause
     group, at most one occurrence of the group's variables in total."""
-    vs = sorted(v for grp in grouping.variable_groups for v in grp)
-    if vs != list(range(1, psi.num_vars + 1)):
-        return False
-    cs = sorted(c for grp in grouping.clause_groups for c in grp)
-    if cs != list(range(len(psi.clauses))):
-        return False
-    for vgroup in grouping.variable_groups:
-        vset = set(vgroup)
-        for cgroup in grouping.clause_groups:
-            occ = sum(
-                1
-                for c in cgroup
-                for v, _ in psi.clauses[c]
-                if v in vset
-            )
-            if occ > 1:
-                return False
-    return True
+    return _occurrences(psi, grouping) is not None
 
 
 def group_formula(psi: Cnf1in3, mode: str = "trivial") -> Grouping:
@@ -202,7 +208,8 @@ def reduce_sat_natural(
     """Choice gadget per variable group, one aggregate-test vertex pair per
     detecting set; capacities are derived from the actual degrees rather
     than any closed-form count, so arbitrary verified groupings work."""
-    if not verify_grouping(psi, grouping):
+    occurrence = _occurrences(psi, grouping)
+    if occurrence is None:
         raise StructuralError("grouping fails the one-occurrence property")
     if len(families) != len(grouping.clause_groups):
         raise StructuralError("need one detecting family per clause group")
@@ -237,17 +244,6 @@ def reduce_sat_natural(
             b.edge(u_p, vid)
         assignment_ids.append(ids)
     all_assignment = [vid for ids in assignment_ids for vid in ids]
-
-    # occurrence of a variable group inside a clause group: at most one
-    # (clause index, literal) by the grouping property
-    occurrence: dict[tuple[int, int], tuple[int, Literal]] = {}
-    for p, vgroup in enumerate(grouping.variable_groups):
-        vset = set(vgroup)
-        for i, cgroup in enumerate(grouping.clause_groups):
-            for c in cgroup:
-                for lit in psi.clauses[c]:
-                    if lit[0] in vset:
-                        occurrence[(p, i)] = (c, lit)
 
     test_pairs: list[tuple[int, int, int]] = []  # (a id, a' id, |detecting set|)
     for i, (fam, cgroup) in enumerate(zip(families, grouping.clause_groups)):
@@ -324,67 +320,54 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
         ops.append(("relabel", 5, 6))
         return v
 
-    # literal occurrences by selector: (clause index, side) lists
-    pos_lists: dict[int, list[tuple[int, str]]] = {v: [] for v in range(1, n + 1)}
-    neg_lists: dict[int, list[tuple[int, str]]] = {v: [] for v in range(1, n + 1)}
+    # each variable's occurrences as (clause index, literal positive?)
+    occurrences: dict[int, list[tuple[int, bool]]] = {v: [] for v in range(1, n + 1)}
     for j, clause in enumerate(psi.clauses):
         for var, positive in clause:
-            if positive:
-                pos_lists[var].append((j, "+"))
-                neg_lists[var].append((j, "-"))
-            else:
-                pos_lists[var].append((j, "-"))
-                neg_lists[var].append((j, "+"))
-    # pos_lists[v]: occurrences whose literal vertex neighbors v_i
-    #   literal x_i   -> positive copy attaches to v_i, negative copy to the negation
-    #   literal !x_i  -> negative copy attaches to v_i, positive copy to the negation
+            occurrences[var].append((j, positive))
 
-    lit_plus: dict[tuple[int, int], int] = {}  # (clause, var) -> positive copy id
-    lit_minus: dict[tuple[int, int], int] = {}
+    # side 1: positive literal copies, side 2: negative ones; the side is also
+    # the label a copy keeps until its clause vertices join it
+    copies: dict[int, list[int]] = {1: [], 2: []}
     selector_of: dict[int, tuple[int, int]] = {}
 
     for var in range(1, n + 1):
         v_id = b.vertex()
         ops.append(("intro", v_id, 3))
-        for j, side in sorted(pos_lists[var]):
+        for j, positive in occurrences[var]:  # the copy at v_i has the literal's sign
+            side = 1 if positive else 2
             lit = intro_marked(4, j + 1)
-            (lit_plus if side == "+" else lit_minus)[(j, var)] = lit
+            copies[side].append(lit)
             b.edge(v_id, lit)
             ops.append(("join", 3, 4))
-            ops.append(("relabel", 4, 1 if side == "+" else 2))
+            ops.append(("relabel", 4, side))
         bar_id = b.vertex()
         ops.append(("intro", bar_id, 4))
         b.edge(v_id, bar_id)
         ops.append(("join", 3, 4))
         ops.append(("relabel", 3, 6))
-        for j, side in sorted(neg_lists[var]):
+        for j, positive in occurrences[var]:  # the copy at the negation has the other sign
+            side = 2 if positive else 1
             lit = intro_marked(3, j + 1)
-            (lit_plus if side == "+" else lit_minus)[(j, var)] = lit
+            copies[side].append(lit)
             b.edge(bar_id, lit)
             ops.append(("join", 4, 3))
-            ops.append(("relabel", 3, 1 if side == "+" else 2))
+            ops.append(("relabel", 3, side))
         ops.append(("relabel", 4, 6))
         selector_of[var] = (v_id, bar_id)
 
-    clause_plus = []
-    clause_minus = []
-    for j in range(m):
-        c = intro_marked(3, 3 * j + 1)
-        clause_plus.append(c)
-        for lit in sorted(lit_plus.values()):
-            b.edge(c, lit)
-        ops.append(("join", 3, 1))
-        ops.append(("relabel", 3, 6))
-    for j in range(m):
-        c = intro_marked(3, 3 * j + 2)
-        clause_minus.append(c)
-        for lit in sorted(lit_minus.values()):
-            b.edge(c, lit)
-        ops.append(("join", 3, 2))
-        ops.append(("relabel", 3, 6))
+    clause_ids = []
+    for side in (1, 2):
+        for j in range(m):
+            c = intro_marked(3, 3 * j + side)
+            clause_ids.append(c)
+            for lit in copies[side]:
+                b.edge(c, lit)
+            ops.append(("join", 3, side))
+            ops.append(("relabel", 3, 6))
 
     graph = b.graph(k)
-    marked = frozenset(list(lit_plus.values()) + list(lit_minus.values()) + clause_plus + clause_minus)
+    marked = frozenset(copies[1] + copies[2] + clause_ids)
     groups = tuple(frozenset(selector_of[v]) for v in range(1, n + 1))
     meta = ChoiceGroups(marked, groups, frozenset())
     return CwReduction(graph, k, CliquewidthExpression(tuple(ops)), meta, selector_of)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     CapacitatedGraph,
@@ -238,14 +238,8 @@ def _orientations_for_selected(
     made of the whole modulator.
     """
     mod_set = set(modulator)
-    forced: list[tuple[Edge, int]] = []
-    free: list[Edge] = []
-    for u, v in g.edges:
-        if u in mod_set and v in mod_set:
-            if u in selected and v in selected:
-                free.append((u, v))
-            else:
-                forced.append(((u, v), u if u in selected else v))
+    internal = (e for e in g.edges if e[0] in mod_set and e[1] in mod_set)
+    forced, free = _split_edges(internal, selected)
     room = {u: g.capacity[u] if u in selected else 0 for u in modulator}
     for _, _, mask in _component_orientations(g, (), modulator, forced, free):
         heads = _component_heads(forced, free, mask)
@@ -272,6 +266,22 @@ def enumerate_guesses(g: CapacitatedGraph, modulator: Iterable[int]) -> Iterator
 # ---------------------------------------------------------------------------
 # component catalogs
 
+def _split_edges(
+    edges: Iterable[Edge], receivers: Container[int]
+) -> tuple[list[tuple[Edge, int]], list[Edge]]:
+    """Split edges into forced (edge, head) pairs and free edges.  An edge
+    whose endpoints can both receive is free; any other edge is forced
+    onto the endpoint that can."""
+    forced: list[tuple[Edge, int]] = []
+    free: list[Edge] = []
+    for u, v in edges:
+        if u in receivers and v in receivers:
+            free.append((u, v))
+        else:
+            forced.append(((u, v), u if u in receivers else v))
+    return forced, free
+
+
 def _component_edges(
     g: CapacitatedGraph, selected: frozenset[int], comp: Sequence[int]
 ) -> tuple[list[tuple[Edge, int]], list[Edge]]:
@@ -283,21 +293,8 @@ def _component_edges(
     free.
     """
     comp_set = set(comp)
-    forced: list[tuple[Edge, int]] = []
-    free: list[Edge] = []
-    for u, v in g.edges:
-        inu, inv = u in comp_set, v in comp_set
-        if not (inu or inv):
-            continue
-        if inu and inv:
-            free.append((u, v))
-            continue
-        other, inside = (u, v) if inv else (v, u)
-        if other in selected:
-            free.append((u, v))
-        else:
-            forced.append(((u, v), inside))
-    return forced, free
+    touching = (e for e in g.edges if e[0] in comp_set or e[1] in comp_set)
+    return _split_edges(touching, comp_set | selected)
 
 
 def _component_heads(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -313,6 +314,61 @@ def test_reduce_sat_natural_with_groups_past_the_check_cap(tmp_path, capsys):
         argv = ["verify", "--type", "family", "--family", f"{prefix}.fam{i}", "--universe", str(len(cg))]
         assert main(argv) == 0
         assert capsys.readouterr().out == "VALID family\n"
+
+
+# One fixed input per construction, with its stdout and the SHA-256 of every
+# output file, so that a rewrite of a construction that moves a byte fails here.
+REDUCE_GOLDEN = {
+    "smc": (
+        "smc 3 4 2 2\nset 1 1 2\nset 2 2 3\nset 3 1 3\nset 4 1 2 3\n",
+        "REDUCED smc vertices=25 edges=27 k=5\n",
+        {
+            ".cvc": "67a6fa874f96e85ab58d8776a639c59591c6521e06ae9afbe9a43894d87ee054",
+            ".meta": "646e59aacfcd5a45ff8f4a3001cddbf5d5a66fae6f533a57c6fb5e997a55cca7",
+        },
+    ),
+    "sat-natural": (
+        "p cnf 9 5\n1 -4 7 0\n-2 5 8 0\n3 -6 9 0\n1 5 -9 0\n-2 6 7 0\n",
+        "REDUCED sat-natural vertices=402 edges=476 k=22 variable-groups=6 clause-groups=3\n",
+        {
+            ".cvc": "7b64472c84ca6c47d95b12e8fd72dd874124f2352281985ab7d78e3e1034b902",
+            ".fam1": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+            ".fam2": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+            ".fam3": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+            ".meta": "ca867c4f25d10c411e61077e39240a9f71df643be8e430e3d06f9ee91ca7ad0b",
+        },
+    ),
+    "sat-cw": (
+        "p cnf 5 3\n1 -2 3 0\n-1 4 -5 0\n2 -3 5 0\n",
+        "REDUCED sat-cw vertices=754 edges=797 k=29\n",
+        {
+            ".cvc": "89ac614a8ede4a2964856448135838ce08755fa78a0f40c1fa252a5ebf975ebd",
+            ".cwx": "7ad04d74f1e922497b9fc23dcb5a1bcb85d51600cdd5656cd943b5ac6b465d84",
+            ".meta": "f05b8fe0ba9a511d64806074e969b963701b6d82aba144101c12bd4e89d51687",
+        },
+    ),
+    "mcc-td": (
+        "mcc 2 3\nclass 1 1 2 3\nclass 2 4 5 6\ne 1 4\ne 2 6\ne 3 5\ne 1 6\n",
+        "REDUCED mcc-td vertices=127418 edges=127670 k=364 choice-groups=12 edge-groups=4\n",
+        {
+            ".cvc": "6361b3c080153fea75bcc5e4b62863dd88c53517378790907c3e9c3ee008db30",
+            ".meta": "93dff86436ab1473392c52f1d8daeae04973fa0141d37cffb7edbe7b3af5aea2",
+            ".tdw": "f573e74d7cb1afb77d65b0282e5caf87639e88fcb34428b50078b1352d7c42a5",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("rtype", sorted(REDUCE_GOLDEN))
+def test_reduce_outputs_are_byte_identical_to_golden(tmp_path, capsys, rtype):
+    text, stdout, digests = REDUCE_GOLDEN[rtype]
+    src = put(tmp_path, "source", text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["reduce", "--type", rtype, "--input", src, "--output", str(out / "r")]) == 0
+    assert capsys.readouterr().out == stdout
+    produced = {path.suffix: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert produced == digests
 
 
 def test_parser_is_built_once():

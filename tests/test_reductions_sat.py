@@ -82,6 +82,28 @@ def test_verify_grouping_rejects_double_occurrence():
     assert not verify_grouping(psi, bad)
 
 
+@pytest.mark.parametrize(
+    "variable_groups, clause_groups",
+    [
+        (((1, 2), (2, 3), (4,)), ((0,), (1,))),  # variable 2 in two groups
+        (((1, 2), (3,)), ((0,), (1,))),  # variable 4 in none
+        (((1,), (2,), (3,), (4,)), ((0,),)),  # clause 1 missing
+        (((1,), (2,), (3,), (4,)), ((0, 1), (1,))),  # clause 1 repeated
+    ],
+)
+def test_verify_grouping_rejects_non_partitions(variable_groups, clause_groups):
+    psi = Cnf1in3(4, (clause(1, 2, 3), clause(1, 2, 4)))
+    assert verify_grouping(psi, Grouping(((1,), (2,), (3,), (4,)), ((0,), (1,))))
+    assert not verify_grouping(psi, Grouping(variable_groups, clause_groups))
+
+
+def test_natural_refuses_double_occurrence_grouping():
+    psi = Cnf1in3(4, (clause(1, 2, 3), clause(1, 2, 4)))
+    bad = Grouping(((1, 2), (3,), (4,)), ((0, 1),))
+    with pytest.raises(StructuralError, match="one-occurrence"):
+        reduce_sat_natural(psi, bad, [build_family(2, 4)])
+
+
 # --- natural-parameter reduction ----------------------------------------------
 
 def test_natural_single_clause_yes():
