@@ -16,11 +16,19 @@ grows linearly in the class count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _ints, _plain_records
+from ..core import (
+    CapacitatedGraph,
+    CapExceededError,
+    GraphFormatError,
+    _content_lines,
+    _ints,
+    _plain_records,
+)
 from ..oracle import ChoiceGroups
 from ._builder import Builder
 
 ClassVertex = tuple[int, int]  # (class, index)
+MAX_TD_VERTICES = 10**6  # larger mcc-td outputs are refused before they are built
 
 
 @dataclass(frozen=True)
@@ -305,14 +313,52 @@ def _build_gadget(b: _Builder, epair, lo1, hi1, lo2, hi2) -> dict:
     return {"row": row, "col": col, "top": copy_vertices[0]}
 
 
-def reduce_mcc_td(inst: MccInstance) -> MccReduction:
-    """Emit the derived instance, its budget, a tree-depth witness, and the
-    canonical-space metadata (choice groups first, then edge groups)."""
-    k, n = inst.k, inst.n
-    cross = set(inst.edges)
+def _padded(k: int) -> int:
+    """The class count the gadget recursion runs on: k rounded up to a
+    power of two, the new classes adjacent to everything else."""
     kk = 1
     while kk < k:
         kk *= 2
+    return kk
+
+
+def _output_vertices(inst: MccInstance) -> int:
+    """Vertices of ``reduce_mcc_td(inst)``, counted without building it.
+
+    The gadget recursion halves both class ranges of kk = ``_padded(k)``
+    classes, so it has (kk / r)^2 gadgets of range r for r = kk, kk/2,
+    ..., 1, and one base gadget per ordered class pair.  A base gadget of
+    pair (i, i') has one pair vertex per edge between the two classes: n
+    on the diagonal, n^2 when a padding class takes part, and otherwise
+    the pair's cross edges, each counted for both orders.
+    """
+    k, n = inst.k, inst.n
+    kk = _padded(k)
+    pairs = kk * n + 2 * len(inst.edges) + (kk * (kk - 1) - k * (k - 1)) * n * n
+    gamma = 2 * kk * (2 * kk - 1)  # choice instances: 2r per gadget of range r
+    delta = (  # marked vertices
+        gamma  # choice heads
+        + 8 * kk * (kk - 1) * (1 + n * n)  # 4r copy gadgets per gadget of range r > 1
+        + kk * kk * (5 + 2 * n * n)  # base hubs, unary bundles of the row and column picks
+        + 2 * n * pairs  # unary bundles of the pair vertices
+    )
+    budget = kk * kk + gamma + delta
+    # n picks per choice instance, the pair vertices, and each marked
+    # vertex with its budget + 1 pendant leaves
+    return gamma * n + pairs + delta * (budget + 2)
+
+
+def reduce_mcc_td(inst: MccInstance) -> MccReduction:
+    """Emit the derived instance, its budget, a tree-depth witness, and the
+    canonical-space metadata (choice groups first, then edge groups).
+    Refuses an output above ``MAX_TD_VERTICES`` vertices before building
+    any of it."""
+    k, n = inst.k, inst.n
+    cross = set(inst.edges)
+    size = _output_vertices(inst)
+    if size > MAX_TD_VERTICES:
+        raise CapExceededError(f"mcc-td output would have {size} vertices, cap is {MAX_TD_VERTICES}")
+    kk = _padded(k)
     if kk != k:  # dummy classes adjacent to everything else
         for c in range(k + 1, kk + 1):
             for j in range(1, n + 1):

@@ -15,11 +15,13 @@ It is solved here by an exact dynamic program over residual vectors
 clamped to the loads the components can reach, each state carrying the
 options that reach it; the engine passes its incumbent as the budget.
 
-Both the guesses and the catalogs walk every orientation of their free
-edges, so a component (or the modulator itself) with more than
-``MAX_FREE_EDGES`` free edges is refused with ``CapExceededError``.  A
-weak modulator given from outside is refused at once instead of walking
-2^(free edges) orientations.
+Both the guesses and the catalogs walk the orientations of their free
+edges depth first, cutting a branch once a vertex goes over its capacity,
+so only orientations that fit are reached.  Where no capacity binds that
+is all 2^(free edges) of them, so a component (or the modulator itself)
+with more than ``MAX_FREE_EDGES`` free edges is refused with
+``CapExceededError``: a weak modulator given from outside is refused at
+once instead of walked.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from .core import (
 
 INF = math.inf
 DEFAULT_MODULATOR_CAP = 18
-MAX_FREE_EDGES = 20  # a component walks 2^free orientations; 2^20 take about a second
+# a walk reaches all 2^free orientations only where no capacity binds;
+# 2^20 of them take about a second
+MAX_FREE_EDGES = 20
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,12 @@ def compute_modulator(
 ) -> Modulator:
     """Minimum vertex integrity with a witnessing set, by exact search.
 
-    Walks deletion sets in increasing size, each size in ``combinations``
-    order, and keeps the first set of the smallest value; a set of size s
+    A greedy pass first deletes the vertex with the most neighbours in the
+    largest component until no vertex is left; one above its best value
+    is the starting incumbent when that beats the empty set.  The search
+    then walks deletion sets in increasing size, each size in
+    ``combinations`` order, and keeps the first set of the smallest value,
+    so the greedy pass changes only how many sets are scored; a set of size s
     can only beat the incumbent when s + 1 is still smaller, since at least
     one vertex remains outside.  Each size is walked depth-first, one pick
     per level.  Every vertex below the next pick that is not deleted is
@@ -147,28 +155,54 @@ def compute_modulator(
         closed[u - 1] |= 1 << (v - 1)
         closed[v - 1] |= 1 << (u - 1)
 
+    def component(rest: int, limit: int) -> int:
+        """The component of G[rest] holding rest's lowest vertex, grown
+        breadth-first; cut short once it has ``limit`` vertices."""
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= closed[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & rest & ~comp
+            comp |= frontier
+            if comp.bit_count() >= limit:
+                break
+        return comp
+
     def largest_component(rest: int, limit: int) -> int:
         """Order of the largest component of G[rest]; ``limit`` as soon as
         a growing component reaches it."""
         largest = 0
         while rest and rest.bit_count() > largest:
-            comp = frontier = rest & -rest
-            while frontier:
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= closed[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & rest & ~comp
-                comp |= frontier
-                if comp.bit_count() >= limit:
-                    return limit
+            comp = component(rest, limit)
+            if comp.bit_count() >= limit:
+                return limit
             largest = max(largest, comp.bit_count())
             rest ^= comp
         return largest
 
+    # Greedy incumbent: delete the vertex with the most neighbours in the
+    # largest component, all the way down, and keep the best value seen.
     full = (1 << n) - 1
-    best = largest_component(full, n + 1)
+    rest, greedy = full, n
+    for deleted in range(n):
+        if deleted + 1 >= greedy:  # every later value is at least deleted + 1
+            break
+        comps, left = [], rest
+        while left:
+            comps.append(component(left, n + 1))
+            left ^= comps[-1]
+        big = max(comps, key=int.bit_count)
+        greedy = min(greedy, deleted + big.bit_count())
+        members = (i for i in range(n) if big >> i & 1)
+        rest ^= 1 << max(members, key=lambda i: (closed[i] & big).bit_count())
+
+    # Below the empty set's value the search starts just above the greedy
+    # value with no set recorded: it is sure to score a set of at most that
+    # value, and keeps the first set of least value in its order.
+    best = min(largest_component(full, n + 1), greedy + 1)
     best_cut = 0
     scored = 0
 
@@ -317,14 +351,19 @@ def _component_orientations(
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Valid orientations of all edges touching one component.
 
-    Walks the masks over ``free`` in increasing order.  Going from one mask
-    to the next flips only the bits that change (two on average), and each
-    flip moves one unit of in-degree between the edge's endpoints, keeping
-    count of the component vertices over capacity and of those with
-    positive in-degree.  Yields (load on each modulator vertex, vertices of
-    the component with positive in-degree, mask) for every mask that keeps
-    the component within capacity; ``_component_heads`` turns a mask into
-    edge heads.  Refuses more than ``MAX_FREE_EDGES`` free edges.
+    Bit b of a mask points free edge b at its larger endpoint, a clear bit
+    at its smaller one.  The masks are walked depth first, one free edge
+    per level from the highest index down, the smaller endpoint before the
+    larger, so they come out in increasing order.  Placing an edge adds
+    one unit of in-degree to its head, and in-degrees only grow along a
+    branch, so a branch is cut as soon as a component vertex would go over
+    its capacity: nothing below it fits.  Modulator vertices are not
+    capped here; their loads are checked by the block selection.  Yields
+    (load on each modulator vertex, vertices of the component with
+    positive in-degree, mask) for every mask that keeps the component
+    within capacity; ``_component_heads`` turns a mask into edge heads.
+    The walk keeps one stack entry per free edge and refuses more than
+    ``MAX_FREE_EDGES`` of them.
     """
     if len(free) > MAX_FREE_EDGES:
         raise CapExceededError(f"{len(free)} free edges to orient, cap is {MAX_FREE_EDGES}")
@@ -333,39 +372,65 @@ def _component_orientations(
     slot = {w: i for i, w in enumerate(comp)}
     for i, u in enumerate(mod_order):
         slot[u] = c + i
-    cap = [g.capacity[w] for w in comp]
+    # room[i]: the most in-degree slot i may hold; modulator slots get more
+    # than any walk can reach
+    room = [g.capacity[w] for w in comp] + [len(free) + 1] * len(mod_order)
     indeg = [0] * (c + len(mod_order))
     for _, head in forced:
         indeg[slot[head]] += 1
-    if any(indeg[i] > cap[i] for i in range(c)):
+    if any(indeg[i] > room[i] for i in range(c)):
         return
-    ends = [(slot[u], slot[v]) for u, v in free]
-    for lo, _ in ends:  # mask 0 points every free edge at its smaller endpoint
-        indeg[lo] += 1
-    over = sum(1 for i in range(c) if indeg[i] > cap[i])
     positive = sum(1 for i in range(c) if indeg[i] > 0)
-    if not over:
+    last = len(free) - 1
+    if last < 0:
         yield tuple(indeg[c:]), positive, 0
-    # moves[t]: the (from, to) slot moves of a step whose lowest set bit is
-    # t; bits below t go from 1 to 0 and bit t from 0 to 1
-    moves = [[(hi, lo) for lo, hi in ends[:t]] + [ends[t]] for t in range(len(ends))]
-    for mask in range(1, 1 << len(free)):
-        for src, dst in moves[(mask & -mask).bit_length() - 1]:
-            if src < c:
-                d = indeg[src]
-                if d == cap[src] + 1:
-                    over -= 1
-                if d == 1:
-                    positive -= 1
-            indeg[src] -= 1
-            d = indeg[dst] = indeg[dst] + 1
-            if dst < c:
-                if d == cap[dst] + 1:
-                    over += 1
-                if d == 1:
-                    positive += 1
-        if not over:
-            yield tuple(indeg[c:]), positive, mask
+        return
+    # level d decides free edge last - d, which is bit last - d of the mask;
+    # the last level tries both ends of edge 0 in one pass
+    ends = [(slot[u], slot[v]) for u, v in reversed(free)]
+    side = [0] * last  # next end to try at each level; 2 when both are done
+    took = [0] * last  # slot that took the edge of each level above the current one
+    lo, hi = ends[last]
+    mask = 0
+    d = 0
+    while True:
+        if d == last:
+            x = indeg[lo]
+            if x < room[lo]:
+                indeg[lo] = x + 1
+                yield tuple(indeg[c:]), positive + (lo < c and not x), mask
+                indeg[lo] = x
+            x = indeg[hi]
+            if x < room[hi]:
+                indeg[hi] = x + 1
+                yield tuple(indeg[c:]), positive + (hi < c and not x), mask | 1
+                indeg[hi] = x
+        else:
+            s = side[d]
+            if s < 2:
+                side[d] = s + 1
+                w = ends[d][s]
+                x = indeg[w]
+                if x < room[w]:
+                    indeg[w] = x + 1
+                    if w < c and not x:
+                        positive += 1
+                    took[d] = w
+                    if s:
+                        mask |= 1 << (last - d)
+                    d += 1
+                continue
+            side[d] = 0
+        # both ends tried: back up and take back the parent's edge
+        d -= 1
+        if d < 0:
+            return
+        w = took[d]
+        indeg[w] -= 1
+        if w < c and not indeg[w]:
+            positive -= 1
+        if side[d] == 2:
+            mask ^= 1 << (last - d)
 
 
 def component_catalog(

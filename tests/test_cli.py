@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import cvckit.cli as cli
 import cvckit.cutwidth as cutwidth
 import cvckit.fes as fes
+import cvckit.reductions.mcc as mcc
 import cvckit.reductions.sat as sat
 from cvckit.cli import main
 from cvckit.core import CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
@@ -615,3 +617,20 @@ def test_reduce_writes_the_formatted_construction(tmp_path, capsys, kind, text, 
     written = {path.name: path.read_text() for path in out.iterdir()}
     assert written == {"red" + suffix: body for suffix, body in reduction_files(kind, text).items()}
     assert json.loads(report.read_text()) == {"command": "reduce", "type": kind, "input": src, **payload}
+
+
+@pytest.mark.parametrize("text, vertices", [
+    # two classes of ten ids and no edge; five classes of two, padded to eight
+    ("mcc 2 10\nclass 1 " + " ".join(map(str, range(1, 11))) + "\nclass 2 "
+     + " ".join(map(str, range(11, 21))) + "\n", 8_162_508),
+    ("mcc 5 2\n" + "".join(f"class {i} {2 * i - 1} {2 * i}\n" for i in range(1, 6)), 16_828_256),
+])
+def test_reduce_mcc_td_refuses_a_large_output_before_building_it(tmp_path, capsys, monkeypatch, text, vertices):
+    monkeypatch.setattr(mcc, "_Builder", None)  # any build attempt raises
+    src = put(tmp_path, "g.mcc", text)
+    start = time.perf_counter()
+    assert main(["reduce", "--type", "mcc-td", "--input", src, "--output", str(tmp_path / "r")]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"error: mcc-td output would have {vertices} vertices, cap is 1000000\n"
+    assert not (tmp_path / "r.cvc").exists()

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cvckit.core import CapacitatedGraph, GraphFormatError, assign_edges, verify_orientation
+import cvckit.reductions.mcc as mcc
+from cvckit.core import CapacitatedGraph, CapExceededError, GraphFormatError, assign_edges, verify_orientation
 from cvckit.oracle import solve_canonical
 from cvckit.reductions.mcc import (
     MccInstance,
@@ -255,3 +256,37 @@ def test_odd_class_count_padding():
 def test_mcc_file_rejects_repeated_or_stray_records(text, message):
     with pytest.raises(GraphFormatError, match=message):
         parse_mcc(text)
+
+
+# --- output cap ----------------------------------------------------------------
+
+def _random_mcc(rng, k, n):
+    pairs = [frozenset(((i, a), (j, b))) for i in range(1, k + 1) for j in range(i + 1, k + 1)
+             for a in range(1, n + 1) for b in range(1, n + 1)]
+    return MccInstance(k, n, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def test_output_vertex_count_matches_the_build():
+    rng = random.Random(89)
+    for k, n in [(0, 0), (0, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1)]:
+        inst = _random_mcc(rng, k, n)
+        assert mcc._output_vertices(inst) == reduce_mcc_td(inst).graph.n
+
+
+def test_output_cap_counts_the_output_exactly(monkeypatch):
+    inst = MccInstance(2, 2, frozenset({frozenset(((1, 1), (2, 1))), frozenset(((1, 2), (2, 2)))}))
+    n = mcc._output_vertices(inst)
+    assert n == 34_176
+    monkeypatch.setattr(mcc, "MAX_TD_VERTICES", n)
+    assert reduce_mcc_td(inst).graph.n == n
+    monkeypatch.setattr(mcc, "MAX_TD_VERTICES", n - 1)
+    with pytest.raises(CapExceededError, match=f"{n} vertices"):
+        reduce_mcc_td(inst)
+
+
+def test_output_cap_admits_three_classes_of_two():
+    # padded to four classes; building it takes seconds and hundreds of MB,
+    # so only its count is checked here
+    text = "mcc 3 2\nclass 1 1 2\nclass 2 3 4\nclass 3 5 6\ne 1 3\ne 2 4\ne 3 5\ne 1 6\n"
+    assert mcc.MAX_TD_VERTICES == 10**6
+    assert mcc._output_vertices(parse_mcc(text)) == 884_264

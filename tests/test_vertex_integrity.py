@@ -431,11 +431,12 @@ def _reference_engine(g, k, stats):
     return best, None if best_assembly is None else Orientation(best_assembly)
 
 
-def _seeded_graph(rng, n, p):
-    """A random graph with capacities drawn from 0..deg(v), zero included."""
+def _seeded_graph(rng, n, p, above_degree=0):
+    """A random graph with capacities drawn from 0..deg(v) + above_degree,
+    zero included."""
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
     g = CapacitatedGraph.build(n, edges, [0] * (n + 1))
-    return g.with_capacity([0] + [rng.randint(0, g.deg(v)) for v in range(1, n + 1)])
+    return g.with_capacity([0] + [rng.randint(0, g.deg(v) + above_degree) for v in range(1, n + 1)])
 
 
 def _disjoint_union(a, b):
@@ -630,3 +631,130 @@ def test_engine_budgets_and_clamps_block_selection(monkeypatch, n, p, seed, max_
     assert value == solve_exact(g)[0]
     rep = verify_orientation(g, cert)
     assert rep.feasible and rep.size == value
+
+
+# --- depth-first catalog walk against the Gray-code walk -----------------------
+
+
+def _reference_gray_walk(g, mod_order, comp, forced, free):
+    """The Gray-code catalog walk: visits every mask over ``free`` in
+    increasing order, flipping only the bits that change, and yields the
+    masks that keep the component within capacity."""
+    c = len(comp)
+    slot = {w: i for i, w in enumerate(comp)}
+    for i, u in enumerate(mod_order):
+        slot[u] = c + i
+    cap = [g.capacity[w] for w in comp]
+    indeg = [0] * (c + len(mod_order))
+    for _, head in forced:
+        indeg[slot[head]] += 1
+    if any(indeg[i] > cap[i] for i in range(c)):
+        return
+    ends = [(slot[u], slot[v]) for u, v in free]
+    for lo, _ in ends:  # mask 0 points every free edge at its smaller endpoint
+        indeg[lo] += 1
+    over = sum(1 for i in range(c) if indeg[i] > cap[i])
+    positive = sum(1 for i in range(c) if indeg[i] > 0)
+    if not over:
+        yield tuple(indeg[c:]), positive, 0
+    # moves[t]: the (from, to) slot moves of a step whose lowest set bit is
+    # t; bits below t go from 1 to 0 and bit t from 0 to 1
+    moves = [[(hi, lo) for lo, hi in ends[:t]] + [ends[t]] for t in range(len(ends))]
+    for mask in range(1, 1 << len(free)):
+        for src, dst in moves[(mask & -mask).bit_length() - 1]:
+            if src < c:
+                d = indeg[src]
+                if d == cap[src] + 1:
+                    over -= 1
+                if d == 1:
+                    positive -= 1
+            indeg[src] -= 1
+            d = indeg[dst] = indeg[dst] + 1
+            if dst < c:
+                if d == cap[dst] + 1:
+                    over += 1
+                if d == 1:
+                    positive += 1
+        if not over:
+            yield tuple(indeg[c:]), positive, mask
+
+
+def test_component_orientations_match_the_gray_walk_masks_included():
+    rng = random.Random(83)
+    walks = guess_walks = no_free = forced_over = widest = 0
+
+    def compare(g, mod_order, comp, forced, free):
+        nonlocal walks, no_free, forced_over, widest
+        got = list(vi_mod._component_orientations(g, mod_order, comp, forced, free))
+        assert got == list(_reference_gray_walk(g, mod_order, comp, forced, free))
+        walks += 1
+        no_free += not free
+        widest = max(widest, len(free))
+        forced_over += any(
+            sum(1 for _, h in forced if h == w) > g.capacity[w] for w in comp
+        )
+
+    while walks < 5_000:
+        g = _seeded_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]), above_degree=1)
+        if rng.random() < 0.5:
+            g = normalize_capacities(g)
+        mods = [compute_modulator(g).vertices]
+        mods.append(tuple(sorted(rng.sample(range(1, g.n + 1), rng.randint(0, g.n)))))
+        for mod in mods:
+            comps = components_outside(g, mod)
+            internal = [(u, v) for u, v in g.edges if u in mod and v in mod]
+            for selected in vi_mod._selected_sets(g, mod):
+                forced, free = vi_mod._split_edges(internal, selected)
+                if len(free) <= 16:  # the guesses' walk: the modulator as the component
+                    compare(g, (), mod, forced, free)
+                    guess_walks += 1
+                for comp in comps:
+                    forced, free = vi_mod._component_edges(g, selected, comp)
+                    if len(free) <= 16:
+                        compare(g, mod, comp, forced, free)
+    assert guess_walks > 500 and no_free > 500 and forced_over > 100 and widest == 16
+
+
+def test_component_orientations_are_lazy():
+    import itertools
+    import time
+    import tracemalloc
+
+    # K7 minus one edge with capacity = degree: 20 free edges, none binding,
+    # so all 2^20 masks are valid
+    edges = [e for e in combinations(range(1, 8), 2) if e != (6, 7)]
+    bare = graph(7, edges, {})
+    g = bare.with_capacity([0] + [bare.deg(v) for v in range(1, 8)])
+    comp = tuple(range(1, 8))
+    forced, free = vi_mod._component_edges(g, frozenset(), comp)
+    assert (forced, len(free)) == ([], 20)
+
+    def first_thousand():
+        walk = vi_mod._component_orientations(g, (), comp, forced, free)
+        return list(itertools.islice(walk, 1000))
+
+    start = time.perf_counter()
+    head = first_thousand()
+    assert time.perf_counter() - start < 0.1
+    assert [mask for _, _, mask in head] == list(range(1000))
+    tracemalloc.start()
+    try:
+        first_thousand()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    k7 = graph(7, list(combinations(range(1, 8), 2)), {v: 6 for v in range(1, 8)})
+    forced, free = vi_mod._component_edges(k7, frozenset(), comp)
+    with pytest.raises(CapExceededError, match="21 free edges"):
+        next(vi_mod._component_orientations(k7, (), comp, forced, free))
+
+
+def test_greedy_incumbent_cuts_the_modulator_search_on_a_63_vertex_planted_graph():
+    g = _three_hub_graph(random.Random(71), 12)
+    assert g.n == 63
+    stats = {}
+    mod = compute_modulator(g, exact_cap=g.n, stats=stats)
+    assert mod == vi_mod.Modulator((35, 41, 55), 8)
+    # starting from the empty set's value, the search scored 37,660 sets
+    assert stats["modulator_sets"] <= 12_000
