@@ -226,10 +226,7 @@ def _verify(args) -> int:
         print(f"VALID size={report.size}")
         return 0
     if args.type == "arrangement":
-        arr = parse_arrangement(_read(args.arrangement))
-        if len(arr) != g.n:
-            raise StructuralError("arrangement size does not match the instance")
-        width = cutwidth_of(g, arr)
+        width = cutwidth_of(g, parse_arrangement(_read(args.arrangement)))
         print(f"CUTWIDTH {width}")
         if args.max_ctw is not None and width > args.max_ctw:
             return 1

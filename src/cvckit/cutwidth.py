@@ -104,7 +104,10 @@ def cut_edges(g: CapacitatedGraph, arr: LinearArrangement, i: int) -> list[tuple
 
 
 def cutwidth_of(g: CapacitatedGraph, arr: LinearArrangement) -> int:
-    """Maximum number of edges crossing any prefix cut."""
+    """Maximum number of edges crossing any prefix cut.  The arrangement
+    must list the instance's n vertices."""
+    if len(arr) != g.n:
+        raise StructuralError("arrangement size does not match the instance")
     return max(_cut_profile(g, arr.order))
 
 
@@ -250,8 +253,6 @@ def solve_cutdp_detailed(
     Refuses with ``CapExceededError`` before the first layer when the
     arrangement's cutwidth is above ``MAX_CUT_BITS``.
     """
-    if len(arr) != g.n:
-        raise StructuralError("arrangement size does not match the instance")
     width = cutwidth_of(g, arr)
     if width > MAX_CUT_BITS:
         raise CapExceededError(f"arrangement cutwidth {width} above cap {MAX_CUT_BITS}")

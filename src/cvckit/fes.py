@@ -216,10 +216,11 @@ def solve_fes(
     lower bound for every leaf below: the remaining guesses only add
     preload, and an orientation valid under a larger preload is valid
     under a smaller one with a subset of the occupied vertices.  A leaf
-    that survives the prune improves on ``best``; only then is
-    ``forest_dp`` called to build its certificate.  The first leaf in
-    guess order that reaches the optimum is always visited, so the result
-    equals that of evaluating every leaf in order.
+    that survives the prune improves on ``best`` and records its arcs.
+    The first leaf in guess order that reaches the optimum is always
+    visited and never replaced, so one ``forest_dp`` call on its arcs,
+    after the search, builds the certificate that evaluating every leaf
+    in order would keep.
     """
     g = normalize_capacities(g)
     extra = feedback_edge_set(g)
@@ -266,14 +267,14 @@ def solve_fes(
         preload[head] -= 1
 
     best: int | float = INF
-    best_cert: Orientation | None = None
+    best_arcs: tuple[tuple[Edge, int], ...] = ()
 
     def rec(i: int, chosen: list[int], bound: int | float):
-        nonlocal best, best_cert
+        nonlocal best, best_arcs
         if bound >= best:
             return
         if i == len(extra):
-            best, best_cert = forest_dp(ForestInstance(g, forest, tuple(zip(extra, chosen))))
+            best, best_arcs = bound, tuple(zip(extra, chosen))
             return
         u, v = extra[i]
         for head in (u, v):
@@ -285,4 +286,6 @@ def solve_fes(
                 remove_preload(head, mark)
 
     rec(0, [], sum(f[r][0] for r in roots))
-    return best, best_cert
+    if best == INF:
+        return INF, None
+    return forest_dp(ForestInstance(g, forest, best_arcs))

@@ -354,38 +354,29 @@ def reduce_mcc_td(inst: MccInstance) -> MccReduction:
     Refuses an output above ``MAX_TD_VERTICES`` vertices before building
     any of it."""
     k, n = inst.k, inst.n
-    cross = set(inst.edges)
     size = _output_vertices(inst)
     if size > MAX_TD_VERTICES:
         raise CapExceededError(f"mcc-td output would have {size} vertices, cap is {MAX_TD_VERTICES}")
     kk = _padded(k)
-    if kk != k:  # dummy classes adjacent to everything else
-        for c in range(k + 1, kk + 1):
-            for j in range(1, n + 1):
-                for c2 in range(1, kk + 1):
-                    if c2 == c:
-                        continue
-                    for j2 in range(1, n + 1):
-                        cross.add(frozenset(((c, j), (c2, j2))))
-        k = kk
 
     def epair(i, ip):
         if i == ip:
             return [(j, j) for j in range(1, n + 1)]
-        return sorted(
+        padding = max(i, ip) > k  # a padding class is adjacent to everything else
+        return [
             (j, jp)
             for j in range(1, n + 1)
             for jp in range(1, n + 1)
-            if frozenset(((i, j), (ip, jp))) in cross
-        )
+            if padding or frozenset(((i, j), (ip, jp))) in inst.edges
+        ]
 
     b = _Builder(n)
-    root = _build_gadget(b, epair, 1, k, 1, k)
+    root = _build_gadget(b, epair, 1, kk, 1, kk)
     b.parent[root["top"]] = 0
 
     gamma = len(b.choice_instances)
     delta = len(b.marked)
-    budget = k * k + gamma + delta
+    budget = kk * kk + gamma + delta
 
     for v in b.marked:
         for leaf in b.pin(v, budget + 1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
 from ..core import CapacitatedGraph, CapExceededError, GraphFormatError, StructuralError, _ints
 from ..detecting import DetectingFamily, is_detecting
@@ -22,7 +23,8 @@ from .cliquewidth import CliquewidthExpression
 
 Literal = tuple[int, bool]  # (variable, positive?)
 
-MAX_NATURAL_VERTICES = 10**6  # larger sat-natural outputs are refused before they are built
+MAX_NATURAL_VERTICES = 10**6  # larger sat-natural outputs, or twice as many edges, are refused before they are built
+MAX_CW_VERTICES = 10**6  # larger sat-cw outputs are refused before they are built
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,34 @@ def verify_grouping(psi: Cnf1in3, grouping: Grouping) -> bool:
     return _occurrences(psi, grouping) is not None
 
 
+def _first_fit(items: Iterable[tuple[int, set[int], set[int]]], target: int) -> list[tuple[list[int], set[int]]]:
+    """Pack ``(item, footprint, blocked)`` triples in order: each item joins
+    the first group of fewer than ``target`` items whose footprint (the
+    union of its items' footprints) misses ``blocked``, else a new group.
+    Returns each group's items with its footprint."""
+    groups: list[tuple[list[int], set[int]]] = []
+    for item, footprint, blocked in items:
+        for members, used in groups:
+            if len(members) < target and not (used & blocked):
+                break
+        else:
+            members, used = [], set()
+            groups.append((members, used))
+        members.append(item)
+        used |= footprint
+    return groups
+
+
 def group_formula(psi: Cnf1in3, mode: str = "trivial") -> Grouping:
     """Partition variables and clauses so every pair of groups shares at
     most one occurrence.
 
     trivial: singleton groups on both sides, always valid since clause
-    variables are distinct.  greedy: pack clause groups from clauses with
-    pairwise-disjoint variable sets, then pack variable groups avoiding
-    pairs that co-occur in a clause group; verified, with fallback to
-    trivial if packing ever fails the check.
+    variables are distinct.  greedy: two first-fit packings in input order.
+    Clauses go into groups of at most isqrt(m) with pairwise-disjoint
+    variable sets; then variables go into groups of at most log2(n) with
+    no two that share a clause group.  The result is verified, with
+    fallback to trivial if packing ever fails the check.
     """
     m = len(psi.clauses)
     trivial = Grouping(
@@ -145,42 +166,17 @@ def group_formula(psi: Cnf1in3, mode: str = "trivial") -> Grouping:
         raise ValueError(f"unknown mode '{mode}'")
 
     clause_target = max(1, math.isqrt(max(m, 1)))
-    cgroups: list[list[int]] = []
-    cvars: list[set[int]] = []
-    for c in range(m):
-        vs = {v for v, _ in psi.clauses[c]}
-        placed = False
-        for gi, grp in enumerate(cgroups):
-            if len(grp) < clause_target and not (cvars[gi] & vs):
-                grp.append(c)
-                cvars[gi] |= vs
-                placed = True
-                break
-        if not placed:
-            cgroups.append([c])
-            cvars.append(set(vs))
-
+    clause_vars = [{v for v, _ in clause} for clause in psi.clauses]
+    cgroups = _first_fit(((c, vs, vs) for c, vs in enumerate(clause_vars)), clause_target)
     conflicts: dict[int, set[int]] = {v: set() for v in range(1, psi.num_vars + 1)}
-    for gi, grp in enumerate(cgroups):
-        vs = sorted(cvars[gi])
-        for i, a in enumerate(vs):
-            for b in vs[i + 1 :]:
-                conflicts[a].add(b)
-                conflicts[b].add(a)
+    for _, vs in cgroups:
+        for a in vs:
+            conflicts[a] |= vs - {a}
     var_target = max(1, int(math.log2(psi.num_vars)) if psi.num_vars > 1 else 1)
-    vgroups: list[list[int]] = []
-    for v in range(1, psi.num_vars + 1):
-        placed = False
-        for grp in vgroups:
-            if len(grp) < var_target and not (conflicts[v] & set(grp)):
-                grp.append(v)
-                placed = True
-                break
-        if not placed:
-            vgroups.append([v])
+    vgroups = _first_fit(((v, {v}, conflicts[v]) for v in range(1, psi.num_vars + 1)), var_target)
     grouping = Grouping(
-        tuple(tuple(grp) for grp in vgroups),
-        tuple(tuple(grp) for grp in cgroups),
+        tuple(tuple(grp) for grp, _ in vgroups),
+        tuple(tuple(grp) for grp, _ in cgroups),
     )
     if not verify_grouping(psi, grouping):
         return trivial
@@ -224,10 +220,15 @@ def reduce_sat_natural(
     k = 2 * n_v + 2 * total_sets
     # choice heads, assignment vertices, test pairs, and k + 1 leaves per marked vertex
     marked_count = n_v + 2 * total_sets
-    size = marked_count + sum(1 << len(vgroup) for vgroup in grouping.variable_groups)
-    size += marked_count * (k + 1)
+    assignments = sum(1 << len(vgroup) for vgroup in grouping.variable_groups)
+    size = marked_count + assignments + marked_count * (k + 1)
     if size > MAX_NATURAL_VERTICES:
         raise CapExceededError(f"sat-natural output would have {size} vertices, cap is {MAX_NATURAL_VERTICES}")
+    # each assignment vertex joins its choice head and one vertex of every
+    # test pair; each leaf joins its marked vertex
+    edges = assignments * (1 + total_sets) + marked_count * (k + 1)
+    if edges > 2 * MAX_NATURAL_VERTICES:
+        raise CapExceededError(f"sat-natural output would have {edges} edges, cap is {2 * MAX_NATURAL_VERTICES}")
 
     b = Builder()
     choice_heads: list[int] = []  # u_p ids
@@ -304,10 +305,16 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
     non-selector vertex pinned by a leaf bundle, budget 8m + n.
 
     Vertex ids follow the build script, so the emitted expression
-    introduces ids in increasing order.
+    introduces ids in increasing order.  Refuses an output above
+    ``MAX_CW_VERTICES`` vertices before building any of it.
     """
     n, m = psi.num_vars, len(psi.clauses)
     k = 8 * m + n
+    # two selectors per variable; two literal copies per occurrence and two
+    # clause vertices per clause are marked, each with k + 1 leaves
+    size = 2 * n + 8 * m * (k + 2)
+    if size > MAX_CW_VERTICES:
+        raise CapExceededError(f"sat-cw output would have {size} vertices, cap is {MAX_CW_VERTICES}")
 
     b = Builder()
     ops: list[tuple] = []

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacitatedGraph, GraphFormatError, _content_lines, _ints
+from ..core import CapacitatedGraph, CapExceededError, GraphFormatError, _content_lines, _ints
 from ..oracle import ChoiceGroups
 from ._builder import Builder
+
+MAX_SMC_VERTICES = 10**6  # larger smc outputs are refused before they are built
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,14 @@ def reduce_smc(inst: SmcInstance) -> SmcReduction:
     Pendant leaves carry capacity 0, so they can never absorb a pushed
     edge: an element short of coverage stays uncoverable and the
     equivalence holds for degenerate inputs too.  The element vertices
-    form a vertex cover of the output by construction.
+    form a vertex cover of the output by construction.  Refuses an output
+    above ``MAX_SMC_VERTICES`` vertices before building any of it.
     """
     kprime = inst.universe_size + inst.budget
+    # element and set vertices, and kprime + 1 leaves per element
+    size = inst.universe_size * (kprime + 2) + len(inst.sets)
+    if size > MAX_SMC_VERTICES:
+        raise CapExceededError(f"smc output would have {size} vertices, cap is {MAX_SMC_VERTICES}")
     b = Builder()
     elements = tuple(b.vertex(inst.demand) for _ in range(inst.universe_size))
     set_vertices = tuple(b.vertex() for _ in inst.sets)

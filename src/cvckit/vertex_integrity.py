@@ -560,12 +560,11 @@ def _vi_engine(
     if stats is not None:
         stats["modulator"] = mod
 
-    best: int | float = INF
+    # a decision is the optimisation started from incumbent k + 1
+    best: int | float = INF if k is None else k + 1
     best_assembly = None
     for selected in _selected_sets(g, mod):
-        if k is not None and len(selected) > k:
-            break
-        if k is None and len(selected) >= best:
+        if len(selected) >= best:
             break
         blocks = []
         block_edges = []
@@ -587,8 +586,7 @@ def _vi_engine(
                 stats["guesses"] += 1
             res_key = tuple(min(residual[u], r) for u, r in zip(mod, reach))
             if res_key not in memo:
-                budget = (k if k is not None else best - 1) - len(selected)
-                memo[res_key] = _block_select(blocks, res_key, budget)
+                memo[res_key] = _block_select(blocks, res_key, best - 1 - len(selected))
             total_gain, picks = memo[res_key]
             value = len(selected) + total_gain
             if value < best:

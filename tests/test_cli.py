@@ -14,6 +14,7 @@ import cvckit.cutwidth as cutwidth
 import cvckit.fes as fes
 import cvckit.reductions.mcc as mcc
 import cvckit.reductions.sat as sat
+import cvckit.reductions.smc as smc
 from cvckit.cli import main
 from cvckit.core import CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
 from cvckit.cutwidth import LinearArrangement, format_arrangement
@@ -21,6 +22,7 @@ from cvckit.fes import feedback_edge_set
 from cvckit.generators import layered_with_ctw
 from cvckit.detecting import build_family, format_family
 from cvckit.oracle import format_choice_groups
+from cvckit.reductions._builder import Builder
 from cvckit.reductions.cliquewidth import format_expression
 from cvckit.reductions.mcc import format_witness, parse_mcc, reduce_mcc_td
 from cvckit.reductions.sat import group_formula, parse_dimacs, reduce_sat_cw, reduce_sat_natural
@@ -203,6 +205,20 @@ def test_verify_arrangement_and_witness(tmp_path, capsys):
     assert main(["verify", "--type", "witness", "--input", inp, "--witness", bad]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--type", "arrangement"],
+    ["solve", "--algo", "cutdp"],
+])
+@pytest.mark.parametrize("text", ["arrangement 2\n1\n2\n", "arrangement 4\n1\n2\n3\n4\n"])
+def test_arrangement_of_another_size_is_a_config_error(tmp_path, capsys, command, text):
+    inp = put(tmp_path, "t.cvc", TRIANGLE)
+    arr = put(tmp_path, "a.txt", text)
+    assert main(command + ["--input", inp, "--arrangement", arr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arrangement size does not match the instance\n"
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "a.cvc"
     b = tmp_path / "b.cvc"
@@ -301,6 +317,73 @@ def random_formula(num_vars, num_clauses, seed):
     return "\n".join(lines) + "\n"
 
 
+def _natural_edges(grouping, families):
+    """Edges of ``reduce_sat_natural``, counted from the construction's
+    description: each assignment vertex joins its choice head and one
+    vertex of every test pair, and each marked vertex holds k + 1 leaves."""
+    sets = sum(len(fam.sets) for fam in families)
+    n_v = len(grouping.variable_groups)
+    assignments = sum(2 ** len(group) for group in grouping.variable_groups)
+    return assignments * (1 + sets) + (n_v + 2 * sets) * (2 * n_v + 2 * sets + 1)
+
+
+def test_sat_natural_edge_count_matches_the_build():
+    for seed in range(12):
+        psi = parse_dimacs(random_formula(6 + seed, 1 + seed % 6, seed=seed))
+        groups = group_formula(psi, "greedy")
+        families = [build_family(len(cg), 4) for cg in groups.clause_groups]
+        assert len(reduce_sat_natural(psi, groups, families).graph.edges) == _natural_edges(groups, families)
+
+
+def test_reduce_sat_natural_refuses_a_large_output_by_its_edges(tmp_path, capsys, monkeypatch):
+    # 130,686 vertices, under the vertex cap, but 3,745,316 edges
+    text = random_formula(800, 80, seed=1)
+    psi = parse_dimacs(text)
+    groups = group_formula(psi, "greedy")
+    edges = _natural_edges(groups, [build_family(len(cg), 4) for cg in groups.clause_groups])
+    assert edges == 3_745_316
+    monkeypatch.setattr(sat, "Builder", None)  # any build attempt raises
+    src = put(tmp_path, "f.cnf", text)
+    start = time.perf_counter()
+    assert main(["reduce", "--type", "sat-natural", "--input", src, "--output", str(tmp_path / "nat")]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: sat-natural output would have {edges} edges, cap is 2000000\n"
+    assert not (tmp_path / "nat.cvc").exists()
+
+
+@pytest.mark.parametrize("module, cap, reduce", [
+    (sat, "MAX_CW_VERTICES", lambda text: reduce_sat_cw(parse_dimacs(text))),
+    (smc, "MAX_SMC_VERTICES", lambda text: reduce_smc(parse_smc(text))),
+], ids=["sat-cw", "smc"])
+@pytest.mark.parametrize("case", range(3))
+def test_sat_cw_and_smc_caps_count_the_output_exactly(monkeypatch, module, cap, reduce, case):
+    if module is sat:
+        text = random_formula(5 + case, 2 * case, seed=case)
+    else:
+        text = f"smc {case + 2} 3 {case} {case + 1}\nset 1 1 2\nset 2 {case + 2}\nset 3\n"
+    n = reduce(text).graph.n
+    monkeypatch.setattr(module, cap, n)
+    assert reduce(text).graph.n == n
+    monkeypatch.setattr(module, cap, n - 1)
+    with pytest.raises(CapExceededError, match=f"{n} vertices"):
+        reduce(text)
+
+
+@pytest.mark.parametrize("rtype, text, vertices", [
+    ("sat-cw", "p cnf 1000000000 1\n1 2 3 0\n", 10_000_000_080),
+    ("smc", "smc 1 0 0 1000000000\n", 1_000_000_003),
+], ids=["sat-cw", "smc"])
+def test_reduce_refuses_a_huge_declared_header_before_building(tmp_path, capsys, monkeypatch, rtype, text, vertices):
+    monkeypatch.setattr(sat, "Builder", None)  # any build attempt raises
+    monkeypatch.setattr(smc, "Builder", None)
+    src = put(tmp_path, "source", text)
+    start = time.perf_counter()
+    assert main(["reduce", "--type", rtype, "--input", src, "--output", str(tmp_path / "r")]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {rtype} output would have {vertices} vertices, cap is 1000000\n"
+    assert not (tmp_path / "r.cvc").exists()
+
+
 def test_reduce_sat_natural_with_groups_past_the_check_cap(tmp_path, capsys):
     # 60 clauses give clause groups of 7, and 4^(2*7) is above is_detecting's
     # cap: the singleton families must pass without enumeration
@@ -368,6 +451,38 @@ def test_reduce_outputs_are_byte_identical_to_golden(tmp_path, capsys, rtype):
     out = tmp_path / "out"
     out.mkdir()
     assert main(["reduce", "--type", rtype, "--input", src, "--output", str(out / "r")]) == 0
+    assert capsys.readouterr().out == stdout
+    produced = {path.suffix: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert produced == digests
+
+
+# Padding classes are adjacent to every other class.  Three classes pad to
+# four and the output is built whole; five pad to eight, so the pendant leaf
+# bundles are left out (and the cap raised) to keep the build small.
+@pytest.mark.parametrize("text, leaves, stdout, digests", [
+    ("mcc 3 1\nclass 1 1\nclass 2 2\nclass 3 3\ne 1 2\ne 2 3\n", True,
+     "REDUCED mcc-td vertices=179326 edges=179250 k=460 choice-groups=56 edge-groups=16\n",
+     {
+         ".cvc": "a8840ff12950e01a8ba3adf570087ae15fe3590353ae43409ec4b9daaa47ba82",
+         ".meta": "22b63a66f15a6957da29b2314ea2056f9bcf6d39ec6468610bd12aed9a047969",
+         ".tdw": "cd8e598cb94347de7d175f0aa021bb9f58b8da098e724dd664cca925ec86d33b",
+     }),
+    ("mcc 5 1\n" + "".join(f"class {i} {i}\n" for i in range(1, 6)) + "e 1 2\ne 1 3\ne 2 3\ne 4 5\ne 1 5\n", False,
+     "REDUCED mcc-td vertices=1986 edges=1662 k=1996 choice-groups=240 edge-groups=64\n",
+     {
+         ".cvc": "2ced042916fc501a70c4d70480884e871a80dcfba193b04457903d64fcd831c8",
+         ".meta": "e75fc49289626134b0ef31a416c1905b6153a9e53c9843cc7eb48e4c21f2962a",
+         ".tdw": "6ce6dfb9293597231ccb132787c8fb5edae96b6a90e5ae03c8a12bfbd7b61a92",
+     }),
+], ids=["3-classes", "5-classes"])
+def test_reduce_mcc_td_padding_is_byte_identical_to_golden(tmp_path, capsys, monkeypatch, text, leaves, stdout, digests):
+    if not leaves:
+        monkeypatch.setattr(Builder, "pin", lambda self, v, count, demand=0: range(0))
+        monkeypatch.setattr(mcc, "MAX_TD_VERTICES", 10**7)
+    src = put(tmp_path, "source", text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["reduce", "--type", "mcc-td", "--input", src, "--output", str(out / "r")]) == 0
     assert capsys.readouterr().out == stdout
     produced = {path.suffix: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert produced == digests

@@ -68,6 +68,15 @@ def test_cutwidth_path_and_k4():
     assert cutwidth_of(ge, LinearArrangement((1, 2, 3))) == 0
 
 
+@pytest.mark.parametrize("order", [(1, 2, 3), (1, 2, 3, 4, 5)])
+def test_cutwidth_of_refuses_an_arrangement_of_another_size(order):
+    gp = graph(4, [(1, 2), (2, 3), (3, 4)], {v: 1 for v in range(1, 5)})
+    with pytest.raises(StructuralError, match="arrangement size does not match"):
+        cutwidth_of(gp, LinearArrangement(order))
+    with pytest.raises(StructuralError, match="arrangement size does not match"):
+        solve_cutdp(gp, LinearArrangement(order))
+
+
 # --- layer transitions -----------------------------------------------------
 
 def test_layer_k2_values():

@@ -228,6 +228,24 @@ def test_solve_fes_builds_few_forest_dps(monkeypatch):
     assert 1 <= len(calls) <= 64
 
 
+def test_solve_fes_builds_one_certificate_per_solve(monkeypatch):
+    calls = []
+    real = fes_module.forest_dp
+
+    def counted(fi):
+        calls.append(fi)
+        return real(fi)
+
+    monkeypatch.setattr(fes_module, "forest_dp", counted)
+    for seed in range(24):
+        calls.clear()
+        g = sparse_with_fes(60, 9, seed)
+        value, cert = solve_fes(g)
+        assert len(calls) == (cert is not None)
+        if cert is not None:
+            assert verify_orientation(g, cert).size == value
+
+
 def _every_leaf_fes(g):
     """Plain reference: forest_dp on every leaf in guess order, first strict
     improvement kept."""

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from cvckit.core import GraphFormatError, StructuralError, verify_orientation
@@ -74,6 +77,69 @@ def test_greedy_always_passes_verifier():
             clauses.append(tuple((v, rng.random() < 0.5) for v in vs))
         psi = Cnf1in3(n, tuple(clauses))
         assert verify_grouping(psi, group_formula(psi, "greedy"))
+
+
+def _reference_greedy_grouping(psi):
+    """The greedy grouping as two hand-written first-fit loops, clauses
+    then variables."""
+    m = len(psi.clauses)
+    clause_target = max(1, math.isqrt(max(m, 1)))
+    cgroups: list[list[int]] = []
+    cvars: list[set[int]] = []
+    for c in range(m):
+        vs = {v for v, _ in psi.clauses[c]}
+        placed = False
+        for gi, grp in enumerate(cgroups):
+            if len(grp) < clause_target and not (cvars[gi] & vs):
+                grp.append(c)
+                cvars[gi] |= vs
+                placed = True
+                break
+        if not placed:
+            cgroups.append([c])
+            cvars.append(set(vs))
+
+    conflicts: dict[int, set[int]] = {v: set() for v in range(1, psi.num_vars + 1)}
+    for gi, grp in enumerate(cgroups):
+        vs = sorted(cvars[gi])
+        for i, a in enumerate(vs):
+            for b in vs[i + 1 :]:
+                conflicts[a].add(b)
+                conflicts[b].add(a)
+    var_target = max(1, int(math.log2(psi.num_vars)) if psi.num_vars > 1 else 1)
+    vgroups: list[list[int]] = []
+    for v in range(1, psi.num_vars + 1):
+        placed = False
+        for grp in vgroups:
+            if len(grp) < var_target and not (conflicts[v] & set(grp)):
+                grp.append(v)
+                placed = True
+                break
+        if not placed:
+            vgroups.append([v])
+    grouping = Grouping(
+        tuple(tuple(grp) for grp in vgroups),
+        tuple(tuple(grp) for grp in cgroups),
+    )
+    if not verify_grouping(psi, grouping):
+        return group_formula(psi, "trivial")
+    return grouping
+
+
+def test_greedy_grouping_equals_the_two_loop_reference():
+    rng = random.Random(19)
+    packed = 0
+    for _ in range(1000):
+        n = rng.randint(3, 60)
+        clauses = tuple(
+            tuple((v, rng.random() < 0.5) for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(0, 50))
+        )
+        psi = Cnf1in3(n, clauses)
+        got = group_formula(psi, "greedy")
+        assert got == _reference_greedy_grouping(psi)
+        packed += len(got.variable_groups) < n and len(got.clause_groups) < len(clauses)
+    assert packed >= 500  # most draws pack both sides
 
 
 def test_verify_grouping_rejects_double_occurrence():
