@@ -46,7 +46,7 @@ from .oracle import (
 )
 from .reductions.cliquewidth import format_expression, parse_expression, verify_cw_expression
 from .reductions.mcc import format_witness, parse_mcc, parse_witness, reduce_mcc_td, verify_td_witness
-from .reductions.sat import group_formula, parse_dimacs, reduce_sat_cw, reduce_sat_natural
+from .reductions.sat import check_natural_floor, group_formula, parse_dimacs, reduce_sat_cw, reduce_sat_natural
 from .reductions.smc import parse_smc, reduce_smc
 from .vertex_integrity import parse_modulator, solve_vi, solve_vi_opt
 
@@ -169,6 +169,7 @@ def _reduce(args) -> int:
         side, counts = {}, ""
     elif args.type == "sat-natural":
         psi = parse_dimacs(text)
+        check_natural_floor(psi)
         grouping = group_formula(psi, "greedy")
         red = reduce_sat_natural(psi, grouping, [build_family(len(cg), 4) for cg in grouping.clause_groups])
         side = {f".fam{i}": format_family(fam) for i, fam in enumerate(red.families, start=1)}

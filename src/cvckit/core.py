@@ -28,6 +28,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -198,9 +199,12 @@ def normalize_capacities(g: CapacitatedGraph) -> CapacitatedGraph:
     """Clamp every capacity into [0, deg(v)]; isolated vertices get 0.
 
     Answer-preserving for both the decision and the optimization query,
-    since no vertex can ever receive more than deg(v) edges.  Idempotent.
+    since no vertex can ever receive more than deg(v) edges.  Idempotent:
+    a graph whose capacities are all in range is returned as it is.
     """
     deg = g.degree
+    if min(g.capacity) >= 0 and all(map(operator.le, g.capacity, deg)):
+        return g
     caps = list(g.capacity)
     for v in range(1, g.n + 1):
         caps[v] = min(max(caps[v], 0), deg[v])
@@ -488,13 +492,11 @@ def _parse_instance_lines(text: str) -> CapacitatedGraph:
 
 
 def format_instance(g: CapacitatedGraph) -> str:
-    head = f"cvc {g.n} {len(g.edges)}"
-    if g.budget is not None:
-        head += f" {g.budget}"
-    out = [head]
-    out.extend(f"v {v} {g.capacity[v]}" for v in range(1, g.n + 1))
-    out.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    """The header, one ``v <id> <capacity>`` line per vertex, then one
+    ``e <u> <v>`` line per edge; each block is one template format."""
+    head = f"cvc {g.n} {len(g.edges)}" + ("" if g.budget is None else f" {g.budget}")
+    vertices = "v %d %d\n" * g.n % tuple(chain.from_iterable(zip(range(1, g.n + 1), g.capacity[1:])))
+    return f"{head}\n{vertices}" + "e %d %d\n" * len(g.edges) % tuple(chain.from_iterable(g.edges))
 
 
 def parse_orientation(text: str, g: CapacitatedGraph) -> Orientation:

@@ -16,6 +16,8 @@ grows linearly in the class count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 from ..core import (
     CapacitatedGraph,
     CapExceededError,
@@ -132,7 +134,11 @@ def _parse_witness_lines(text: str) -> TreedepthWitness:
 
 
 def format_witness(witness: TreedepthWitness) -> str:
-    return "\n".join(f"parent {v} {p}" for v, p in sorted(witness.parent.items())) + "\n"
+    """One ``parent <v> <p|0>`` line per vertex in id order, as one
+    template format; an empty forest is a single newline."""
+    parent = witness.parent
+    ids = sorted(parent)
+    return "parent %d %d\n" * len(ids) % tuple(chain.from_iterable(zip(ids, map(parent.__getitem__, ids)))) or "\n"
 
 
 def parse_mcc(text: str) -> MccInstance:

@@ -130,17 +130,22 @@ def _first_fit(items: Iterable[tuple[int, set[int], set[int]]], target: int) -> 
     """Pack ``(item, footprint, blocked)`` triples in order: each item joins
     the first group of fewer than ``target`` items whose footprint (the
     union of its items' footprints) misses ``blocked``, else a new group.
-    Returns each group's items with its footprint."""
+    Returns each group's items with its footprint.  Only the groups with
+    room are scanned, in the order they were opened."""
     groups: list[tuple[list[int], set[int]]] = []
+    open_groups: list[tuple[list[int], set[int]]] = []
     for item, footprint, blocked in items:
-        for members, used in groups:
-            if len(members) < target and not (used & blocked):
+        for i, (members, used) in enumerate(open_groups):
+            if not (used & blocked):
                 break
         else:
-            members, used = [], set()
+            i, members, used = len(open_groups), [], set()
             groups.append((members, used))
+            open_groups.append((members, used))
         members.append(item)
         used |= footprint
+        if len(members) == target:
+            del open_groups[i]
     return groups
 
 
@@ -155,32 +160,50 @@ def group_formula(psi: Cnf1in3, mode: str = "trivial") -> Grouping:
     no two that share a clause group.  The result is verified, with
     fallback to trivial if packing ever fails the check.
     """
+    if mode not in ("trivial", "greedy"):
+        raise ValueError(f"unknown mode '{mode}'")
     m = len(psi.clauses)
-    trivial = Grouping(
+    if mode == "greedy":
+        clause_target = max(1, math.isqrt(max(m, 1)))
+        clause_vars = [{v for v, _ in clause} for clause in psi.clauses]
+        cgroups = _first_fit(((c, vs, vs) for c, vs in enumerate(clause_vars)), clause_target)
+        conflicts: dict[int, set[int]] = {v: set() for v in range(1, psi.num_vars + 1)}
+        for _, vs in cgroups:
+            for a in vs:
+                conflicts[a] |= vs - {a}
+        var_target = _var_target(psi.num_vars)
+        vgroups = _first_fit(((v, {v}, conflicts[v]) for v in range(1, psi.num_vars + 1)), var_target)
+        grouping = Grouping(
+            tuple(tuple(grp) for grp, _ in vgroups),
+            tuple(tuple(grp) for grp, _ in cgroups),
+        )
+        if verify_grouping(psi, grouping):
+            return grouping
+    return Grouping(
         tuple((v,) for v in range(1, psi.num_vars + 1)),
         tuple((c,) for c in range(m)),
     )
-    if mode == "trivial":
-        return trivial
-    if mode != "greedy":
-        raise ValueError(f"unknown mode '{mode}'")
 
-    clause_target = max(1, math.isqrt(max(m, 1)))
-    clause_vars = [{v for v, _ in clause} for clause in psi.clauses]
-    cgroups = _first_fit(((c, vs, vs) for c, vs in enumerate(clause_vars)), clause_target)
-    conflicts: dict[int, set[int]] = {v: set() for v in range(1, psi.num_vars + 1)}
-    for _, vs in cgroups:
-        for a in vs:
-            conflicts[a] |= vs - {a}
-    var_target = max(1, int(math.log2(psi.num_vars)) if psi.num_vars > 1 else 1)
-    vgroups = _first_fit(((v, {v}, conflicts[v]) for v in range(1, psi.num_vars + 1)), var_target)
-    grouping = Grouping(
-        tuple(tuple(grp) for grp, _ in vgroups),
-        tuple(tuple(grp) for grp, _ in cgroups),
-    )
-    if not verify_grouping(psi, grouping):
-        return trivial
-    return grouping
+
+def _var_target(num_vars: int) -> int:
+    """The most variables a greedy variable group holds: log2(n), at least 1."""
+    return max(1, int(math.log2(num_vars)) if num_vars > 1 else 1)
+
+
+def check_natural_floor(psi: Cnf1in3) -> None:
+    """Refuse a formula whose ``reduce_sat_natural`` output over
+    ``group_formula(psi, "greedy")`` must exceed ``MAX_NATURAL_VERTICES``,
+    before any grouping is built.
+
+    A variable group holds at most ``_var_target(n)`` variables, and the
+    trivial fallback one each, so there are n_v >= ceil(n / target) groups.
+    Each has a marked choice head with at least 2 n_v + 1 pendant leaves and
+    at least two assignment vertices: at least 2 n_v^2 + 4 n_v vertices.
+    """
+    n_v = -(-psi.num_vars // _var_target(psi.num_vars))
+    floor = 2 * n_v * n_v + 4 * n_v
+    if floor > MAX_NATURAL_VERTICES:
+        raise CapExceededError(f"sat-natural output would have at least {floor} vertices, cap is {MAX_NATURAL_VERTICES}")
 
 
 # ---------------------------------------------------------------------------

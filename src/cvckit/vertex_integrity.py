@@ -472,21 +472,23 @@ def _reach(reduced: Sequence[Sequence[tuple]], width: int) -> list[int]:
 
 def _block_select(
     reduced: Sequence[Sequence[tuple[tuple[int, ...], int, object]]],
-    residual: Sequence[int],
+    start: Sequence[int],
     budget: int | float | None = None,
 ) -> tuple[int | float, list[object] | None]:
     """Exact minimum total size gain, one option per block, loads bounded by
-    the residual vector.  Returns (value, chosen payloads), or (inf, None)
-    when no selection fits or every one totals above ``budget``.
+    the residual vector ``start``.  Returns (value, chosen payloads), or
+    (inf, None) when no selection fits or every one totals above ``budget``.
 
-    A state is the residual still free, clamped by ``_reach``, and maps to
-    (least total gain, payloads that reach it).  States are visited in
-    sorted order and options in block order, an entry is replaced only by a
-    strictly smaller total, and the answer is the first final state of
-    least total.
+    Callers clamp ``start`` by ``_reach`` once, so that residuals differing
+    only in capacity no selection can use share one key; clamping changes
+    neither the answer nor the picks.  A state is the residual still free
+    and maps to (least total gain, payloads that reach it).  States are
+    visited in sorted order and options in block order, an entry is
+    replaced only by a strictly smaller total, and the answer is the first
+    final state of least total.
     """
     limit = INF if budget is None else budget
-    start = tuple(map(min, residual, _reach(reduced, len(residual))))
+    start = tuple(start)
     if limit < 0 or min(start, default=0) < 0:
         return INF, None
     states: dict[tuple[int, ...], tuple[int, tuple]] = {start: (0, ())}
@@ -532,7 +534,7 @@ def solve_block_selection(
     ]
     if any(not block for block in reduced):
         return INF
-    value, _ = _block_select(reduced, res, budget)
+    value, _ = _block_select(reduced, list(map(min, res, _reach(reduced, len(res)))), budget)
     return value
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -384,6 +385,22 @@ def test_reduce_refuses_a_huge_declared_header_before_building(tmp_path, capsys,
     assert not (tmp_path / "r.cvc").exists()
 
 
+@pytest.mark.parametrize("num_vars, floor", [(80_000, 50_020_000), (1_000_000_000, 2_378_121_474_435_198)])
+def test_reduce_sat_natural_refuses_a_huge_header_before_grouping(tmp_path, capsys, monkeypatch, num_vars, floor):
+    # n / log2(n) variable groups at least, each with a choice head and its
+    # 2 n_v + 1 leaves and two assignment vertices: 2 n_v^2 + 4 n_v
+    n_v = -(-num_vars // int(math.log2(num_vars)))
+    assert floor == 2 * n_v * n_v + 4 * n_v
+    monkeypatch.setattr(sat, "_first_fit", None)  # any packing attempt raises
+    monkeypatch.setattr(sat, "Builder", None)
+    src = put(tmp_path, "f.cnf", f"p cnf {num_vars} 1\n1 2 3 0\n")
+    start = time.perf_counter()
+    assert main(["reduce", "--type", "sat-natural", "--input", src, "--output", str(tmp_path / "nat")]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: sat-natural output would have at least {floor} vertices, cap is 1000000\n"
+    assert not (tmp_path / "nat.cvc").exists()
+
+
 def test_reduce_sat_natural_with_groups_past_the_check_cap(tmp_path, capsys):
     # 60 clauses give clause groups of 7, and 4^(2*7) is above is_detecting's
     # cap: the singleton families must pass without enumeration
@@ -486,6 +503,63 @@ def test_reduce_mcc_td_padding_is_byte_identical_to_golden(tmp_path, capsys, mon
     assert capsys.readouterr().out == stdout
     produced = {path.suffix: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert produced == digests
+
+
+# The calls that read each REDUCE_GOLDEN output: exit code, stdout and the
+# certificate's SHA-256 (None when the solver writes none) of both solvers
+# at k = the reduction's budget, then each check of a certificate or side file.
+DOWNSTREAM_GOLDEN = {
+    "smc": {
+        "canonical": (1, "FEASIBLE no\n", None),
+        "pruned": (1, "FEASIBLE no\n", None),
+    },
+    "sat-natural": {
+        "canonical": (0, "FEASIBLE yes\n", "feb5040a899a00f6d9939f07bf3151535587e238543b423215ffadc1a11c5447"),
+        "pruned": (2, "", None),  # above the pruned search's node cap
+        "orientation": (0, "VALID size=22\n"),
+    },
+    "sat-cw": {
+        "canonical": (1, "FEASIBLE no\n", None),
+        "pruned": (1, "FEASIBLE no\n", None),
+        "expression": (0, "VALID expression\n"),
+    },
+    "mcc-td": {
+        "canonical": (0, "FEASIBLE yes\n", "a44f01e5e77647910e2a35ad269f8a0f5aacee6381cfa59c7fa33d5bd9d7553a"),
+        "pruned": (2, "", None),  # above the pruned search's node cap
+        "orientation": (0, "VALID size=364\n"),
+        "witness": (0, "VALID depth=26\n"),
+    },
+}
+
+
+@pytest.mark.parametrize("rtype", sorted(DOWNSTREAM_GOLDEN))
+def test_solve_and_verify_on_reduced_outputs_are_golden(tmp_path, capsys, rtype):
+    text, stdout, _ = REDUCE_GOLDEN[rtype]
+    src = put(tmp_path, "source", text)
+    prefix = str(tmp_path / "r")
+    assert main(["reduce", "--type", rtype, "--input", src, "--output", prefix]) == 0
+    k = stdout.split(" k=")[1].split()[0]
+    capsys.readouterr()
+    produced = {}
+    for algo in ("canonical", "pruned"):
+        cert = tmp_path / f"{algo}.cert"
+        argv = ["solve", "--input", prefix + ".cvc", "--algo", algo, "--k", k, "--cert-out", str(cert)]
+        if algo == "canonical":
+            argv += ["--meta", prefix + ".meta"]
+        code = main(argv)
+        digest = hashlib.sha256(cert.read_bytes()).hexdigest() if cert.exists() else None
+        produced[algo] = (code, capsys.readouterr().out, digest)
+    cert = tmp_path / "canonical.cert"
+    checks = {
+        "orientation": ["--cert", str(cert), "--k", k] if cert.exists() else None,
+        "expression": ["--expr", prefix + ".cwx"] if rtype == "sat-cw" else None,
+        "witness": ["--witness", prefix + ".tdw"] if rtype == "mcc-td" else None,
+    }
+    for vtype, extra in checks.items():
+        if extra is not None:
+            code = main(["verify", "--type", vtype, "--input", prefix + ".cvc", *extra])
+            produced[vtype] = (code, capsys.readouterr().out)
+    assert produced == DOWNSTREAM_GOLDEN[rtype]
 
 
 def test_parser_is_built_once():

@@ -85,6 +85,50 @@ def test_normalize_idempotent_and_preserves_assignability():
             assert (assign_edges(ng, sel) is None) == (not brute_assignable(ng, sel))
 
 
+def test_normalize_returns_an_in_range_graph_itself():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 7), 0.5)
+        g = g.with_capacity([0] + [rng.randint(0, g.deg(v)) for v in g.vertices()])
+        assert normalize_capacities(g) is g
+    g = graph(3, [(1, 2), (1, 3)], {1: 2, 2: 1, 3: 0})
+    assert normalize_capacities(g) is g
+
+
+@pytest.mark.parametrize("caps, want", [
+    ({1: 3, 2: 1, 3: 0}, (0, 2, 1, 0)),  # above the degree
+    ({1: -1, 2: 1, 3: 1}, (0, 0, 1, 1)),  # negative
+    ({1: 2, 2: 1, 3: 1, 4: 1}, (0, 2, 1, 1, 0)),  # isolated vertex
+], ids=["above-degree", "negative", "isolated"])
+def test_normalize_still_clamps_an_out_of_range_capacity(caps, want):
+    g = graph(len(want) - 1, [(1, 2), (1, 3)], caps)
+    ng = normalize_capacities(g)
+    assert ng is not g and ng.capacity == want and ng.edges == g.edges
+
+
+def _reference_format_instance(g):
+    """``format_instance`` as one f-string per line, joined."""
+    head = f"cvc {g.n} {len(g.edges)}"
+    if g.budget is not None:
+        head += f" {g.budget}"
+    out = [head]
+    out.extend(f"v {v} {g.capacity[v]}" for v in range(1, g.n + 1))
+    out.extend(f"e {u} {v}" for u, v in g.edges)
+    return "\n".join(out) + "\n"
+
+
+def test_format_instance_matches_the_line_join_reference():
+    rng = random.Random(13)
+    cases = [graph(0, [], {}), graph(0, [], {}, 0), graph(3, [], {1: 0, 2: 4, 3: 0}, 7)]
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 9), rng.random())
+        cases.append(CapacitatedGraph.build(g.n, g.edges, g.capacity, rng.choice([None, 0, rng.randint(1, 10**12)])))
+    for g in cases:
+        assert format_instance(g) == _reference_format_instance(g)
+    assert format_instance(graph(0, [], {})) == "cvc 0 0\n"
+    assert format_instance(graph(0, [], {}, 0)) == "cvc 0 0 0\n"
+
+
 # --- verify_orientation ----------------------------------------------------
 
 def test_verify_single_edge():

@@ -290,3 +290,18 @@ def test_output_cap_admits_three_classes_of_two():
     text = "mcc 3 2\nclass 1 1 2\nclass 2 3 4\nclass 3 5 6\ne 1 3\ne 2 4\ne 3 5\ne 1 6\n"
     assert mcc.MAX_TD_VERTICES == 10**6
     assert mcc._output_vertices(parse_mcc(text)) == 884_264
+
+
+def test_format_witness_matches_the_line_join_reference():
+    def reference(w):
+        return "\n".join(f"parent {v} {p}" for v, p in sorted(w.parent.items())) + "\n"
+
+    rng = random.Random(17)
+    cases = [TreedepthWitness({}), TreedepthWitness({1: 0})]
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        order = rng.sample(range(1, n + 1), n)  # parents come earlier in a random order
+        cases.append(TreedepthWitness({v: rng.choice([0] + order[:i]) for i, v in enumerate(order)}))
+    for w in cases:
+        assert format_witness(w) == reference(w)
+    assert format_witness(TreedepthWitness({})) == "\n"

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from cvckit.core import GraphFormatError, StructuralError, verify_orientation
+import cvckit.reductions.sat as sat
+from cvckit.core import CapExceededError, GraphFormatError, StructuralError, verify_orientation
 from cvckit.detecting import DetectingFamily, build_family
 from cvckit.oracle import solve_canonical
 from cvckit.reductions.sat import (
     Cnf1in3,
     Grouping,
+    check_natural_floor,
     format_dimacs,
     group_formula,
     parse_dimacs,
@@ -140,6 +142,28 @@ def test_greedy_grouping_equals_the_two_loop_reference():
         assert got == _reference_greedy_grouping(psi)
         packed += len(got.variable_groups) < n and len(got.clause_groups) < len(clauses)
     assert packed >= 500  # most draws pack both sides
+
+
+def test_natural_floor_never_exceeds_the_output(monkeypatch):
+    # with the cap at the output's exact size the floor passes, one below the
+    # floor it refuses
+    rng = random.Random(23)
+    sized = []
+    for _ in range(30):
+        n = rng.randint(3, 40)
+        clauses = tuple(
+            tuple((v, rng.random() < 0.5) for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(0, 12))
+        )
+        psi = Cnf1in3(n, clauses)
+        grouping = group_formula(psi, "greedy")
+        sized.append((psi, reduce_sat_natural(psi, grouping, families_for(grouping)).graph.n))
+    for psi, size in sized:
+        monkeypatch.setattr(sat, "MAX_NATURAL_VERTICES", size)
+        check_natural_floor(psi)
+        monkeypatch.setattr(sat, "MAX_NATURAL_VERTICES", 0)
+        with pytest.raises(CapExceededError, match="at least"):
+            check_natural_floor(psi)
 
 
 def test_verify_grouping_rejects_double_occurrence():

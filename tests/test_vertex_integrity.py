@@ -633,6 +633,29 @@ def test_engine_budgets_and_clamps_block_selection(monkeypatch, n, p, seed, max_
     assert rep.feasible and rep.size == value
 
 
+def test_engine_computes_the_reach_once_per_selected_set(monkeypatch):
+    # The engine enumerates guesses only for a selected set whose blocks are
+    # all non-empty, right after it clamps by the reach; block selection
+    # takes that clamped key and computes no reach of its own.
+    counts = {"reach": 0, "selected": 0, "block_select": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vi_mod, "_reach", counting("reach", vi_mod._reach))
+    monkeypatch.setattr(vi_mod, "_orientations_for_selected",
+                        counting("selected", vi_mod._orientations_for_selected))
+    monkeypatch.setattr(vi_mod, "_block_select", counting("block_select", vi_mod._block_select))
+    g = gnp(14, 0.3, 104009)
+    value, _ = solve_vi_opt(g)
+    assert value == solve_exact(g)[0]
+    assert counts["reach"] == counts["selected"] > 0
+    assert counts["block_select"] > counts["selected"]
+
+
 # --- depth-first catalog walk against the Gray-code walk -----------------------
 
 
