@@ -23,9 +23,6 @@ from .cutwidth import (
 )
 from .vertex_integrity import (
     compute_modulator,
-    component_catalog,
-    enumerate_guesses,
-    solve_block_selection,
     solve_vi,
     solve_vi_opt,
 )
@@ -44,18 +41,15 @@ __all__ = [
     "StructuralError",
     "assign_edges",
     "build_family",
-    "component_catalog",
     "compute_modulator",
     "cut_edges",
     "cutwidth_of",
-    "enumerate_guesses",
     "feedback_edge_set",
     "find_arrangement",
     "forest_dp",
     "is_detecting",
     "normalize_capacities",
     "parse_instance",
-    "solve_block_selection",
     "solve_canonical",
     "solve_cutdp",
     "solve_exact",

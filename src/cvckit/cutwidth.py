@@ -130,9 +130,8 @@ class DpLayer:
     ``values`` and ``preds`` are flat 32-bit arrays (``array("i")``) indexed
     by the signature integer (edge 0 at the most significant bit, so integer
     order is lexicographic bit order): the value and the predecessor
-    signature in the previous layer.  -1 encodes "no feasible orientation",
-    exposed as math.inf by ``table``.  Values are at most n and signatures
-    below 2^MAX_CUT_BITS, so both fit.
+    signature in the previous layer.  -1 encodes "no feasible orientation".
+    Values are at most n and signatures below 2^MAX_CUT_BITS, so both fit.
     """
 
     __slots__ = ("cut_index", "edges", "values", "preds", "work")
@@ -147,15 +146,6 @@ class DpLayer:
     @property
     def table_size(self) -> int:
         return len(self.values)
-
-    @property
-    def table(self) -> dict[tuple[int, ...], int | float]:
-        k = len(self.edges)
-        out = {}
-        for sig, val in enumerate(self.values):
-            bits = tuple((sig >> (k - 1 - e)) & 1 for e in range(k))
-            out[bits] = INF if val < 0 else val
-        return out
 
 
 def _scatter_table(width: int, positions: Sequence[int]) -> list[int]:

@@ -328,6 +328,13 @@ def _padded(k: int) -> int:
     return kk
 
 
+def _class_size(inst: MccInstance) -> int:
+    """Vertices per class in the gadgets: n, but at least 1 when k = 0, so
+    that the lone padding class still gives its choice head a pick and the
+    empty clique stays a yes-input."""
+    return inst.n if inst.k else max(inst.n, 1)
+
+
 def _output_vertices(inst: MccInstance) -> int:
     """Vertices of ``reduce_mcc_td(inst)``, counted without building it.
 
@@ -338,7 +345,7 @@ def _output_vertices(inst: MccInstance) -> int:
     on the diagonal, n^2 when a padding class takes part, and otherwise
     the pair's cross edges, each counted for both orders.
     """
-    k, n = inst.k, inst.n
+    k, n = inst.k, _class_size(inst)
     kk = _padded(k)
     pairs = kk * n + 2 * len(inst.edges) + (kk * (kk - 1) - k * (k - 1)) * n * n
     gamma = 2 * kk * (2 * kk - 1)  # choice instances: 2r per gadget of range r
@@ -359,7 +366,7 @@ def reduce_mcc_td(inst: MccInstance) -> MccReduction:
     canonical-space metadata (choice groups first, then edge groups).
     Refuses an output above ``MAX_TD_VERTICES`` vertices before building
     any of it."""
-    k, n = inst.k, inst.n
+    k, n = inst.k, _class_size(inst)
     size = _output_vertices(inst)
     if size > MAX_TD_VERTICES:
         raise CapExceededError(f"mcc-td output would have {size} vertices, cap is {MAX_TD_VERTICES}")

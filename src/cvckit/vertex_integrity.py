@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, sub
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .core import (
     CapacitatedGraph,
@@ -57,32 +57,6 @@ class Modulator:
 
     vertices: tuple[int, ...]
     vi: int
-
-
-@dataclass
-class ModulatorGuess:
-    """One guessed behavior on the modulator: which modulator vertices may
-    receive edges, how the modulator-internal edges point, and what
-    capacity each selected vertex still has for component edges."""
-
-    selected: frozenset[int]
-    orientation_u: dict[Edge, int]
-    residual: dict[int, int]
-
-
-@dataclass(frozen=True)
-class CatalogOption:
-    load: tuple[int, ...]  # extra edges pushed onto each modulator vertex
-    size_gain: int  # component vertices that end up with positive in-degree
-    heads: tuple[tuple[Edge, int], ...]  # the partial orientation realizing it
-
-
-@dataclass(frozen=True)
-class ComponentCatalog:
-    component_id: int
-    vertices: tuple[int, ...]
-    modulator_order: tuple[int, ...]
-    options: tuple[CatalogOption, ...]
 
 
 def parse_modulator(text: str) -> tuple[int, ...]:
@@ -283,20 +257,6 @@ def _orientations_for_selected(
         yield heads, residual
 
 
-def enumerate_guesses(g: CapacitatedGraph, modulator: Iterable[int]) -> Iterator[ModulatorGuess]:
-    """All valid (selected set, internal orientation) pairs with residuals.
-
-    A guess is valid when the internal orientation respects capacities and
-    only selected vertices receive edges; the count is therefore at most
-    2^(|U| + |E(G[U])|).
-    """
-    g = normalize_capacities(g)
-    mod = tuple(sorted(set(modulator)))
-    for selected in _selected_sets(g, mod):
-        for heads, residual in _orientations_for_selected(g, mod, selected):
-            yield ModulatorGuess(selected, heads, residual)
-
-
 # ---------------------------------------------------------------------------
 # component catalogs
 
@@ -433,23 +393,6 @@ def _component_orientations(
             mask ^= 1 << (last - d)
 
 
-def component_catalog(
-    g: CapacitatedGraph, modulator: Iterable[int], guess: ModulatorGuess, j: int
-) -> ComponentCatalog:
-    """Every valid partial orientation of component j under the guess, with
-    its load vector and size contribution."""
-    g = normalize_capacities(g)
-    mod = tuple(sorted(set(modulator)))
-    comps = components_outside(g, mod)
-    comp = comps[j]
-    forced, free = _component_edges(g, guess.selected, comp)
-    options = tuple(
-        CatalogOption(load, gain, tuple(sorted(_component_heads(forced, free, mask).items())))
-        for load, gain, mask in _component_orientations(g, mod, comp, forced, free)
-    )
-    return ComponentCatalog(j, comp, mod, options)
-
-
 # ---------------------------------------------------------------------------
 # block selection
 
@@ -510,32 +453,6 @@ def _block_select(
         states = nxt
     best_total, picks = min(states.values(), key=itemgetter(0))
     return best_total, list(picks)
-
-
-def solve_block_selection(
-    catalogs: Sequence[ComponentCatalog],
-    residual: Mapping[int, int] | Sequence[int],
-    budget: int | None = None,
-) -> int | float:
-    """Minimum total size contribution of one option per catalog, subject to
-    the residual capacities; inf when no selection fits within ``budget``."""
-    if not catalogs:
-        return 0
-    order = catalogs[0].modulator_order
-    if any(c.modulator_order != order for c in catalogs):
-        raise StructuralError("catalogs disagree on the modulator order")
-    if isinstance(residual, Mapping):
-        res = [residual.get(u, 0) for u in order]
-    else:
-        res = list(residual)
-    reduced = [
-        _reduce_options((o.load, o.size_gain, None) for o in cat.options)
-        for cat in catalogs
-    ]
-    if any(not block for block in reduced):
-        return INF
-    value, _ = _block_select(reduced, list(map(min, res, _reach(reduced, len(res)))), budget)
-    return value
 
 
 # ---------------------------------------------------------------------------

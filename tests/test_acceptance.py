@@ -23,15 +23,8 @@ from cvckit.reductions.cliquewidth import verify_cw_expression
 from cvckit.reductions.mcc import MccInstance, reduce_mcc_td, verify_td_witness
 from cvckit.reductions.sat import Cnf1in3, group_formula, reduce_sat_cw, reduce_sat_natural
 from cvckit.reductions.smc import SmcInstance, reduce_smc
-from cvckit.vertex_integrity import (
-    CatalogOption,
-    ComponentCatalog,
-    compute_modulator,
-    enumerate_guesses,
-    solve_block_selection,
-    solve_vi,
-    solve_vi_opt,
-)
+import cvckit.vertex_integrity as vi_mod
+from cvckit.vertex_integrity import compute_modulator, solve_vi, solve_vi_opt
 from bruteforce import (
     brute_forest_min,
     brute_multicolored_clique,
@@ -121,32 +114,29 @@ def test_criterion_3_block_selection_and_guess_counts():
     rng = random.Random(303)
     for case in range(30):
         width = rng.randint(1, 3)
-        order = tuple(range(1, width + 1))
         catalogs = []
         option_product = 1
-        for cid in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, 5)):
             count = rng.randint(1, 6)
             option_product *= count
-            options = tuple(
-                CatalogOption(
-                    tuple(rng.randint(0, 3) for _ in range(width)),
-                    rng.randint(0, 4),
-                    (),
-                )
+            catalogs.append([
+                (tuple(rng.randint(0, 3) for _ in range(width)), rng.randint(0, 4))
                 for _ in range(count)
-            )
-            catalogs.append(ComponentCatalog(cid, (), order, options))
+            ])
         if option_product > 10**6:
             continue
-        residual = {u: rng.randint(0, 7) for u in order}
-        got = solve_block_selection(catalogs, residual)
+        residual = [rng.randint(0, 7) for _ in range(width)]
+        # block selection as the VI engine runs it: reduced blocks, the
+        # residual clamped by their reach
+        blocks = [vi_mod._reduce_options((load, gain, None) for load, gain in c) for c in catalogs]
+        got, _ = vi_mod._block_select(blocks, list(map(min, residual, vi_mod._reach(blocks, width))))
         best = math.inf
-        for picks in product(*[c.options for c in catalogs]):
+        for picks in product(*catalogs):
             if all(
-                sum(p.load[i] for p in picks) <= residual[order[i]]
+                sum(load[i] for load, _ in picks) <= residual[i]
                 for i in range(width)
             ):
-                best = min(best, sum(p.size_gain for p in picks))
+                best = min(best, sum(gain for _, gain in picks))
         if got != best:
             failures.append((case, got, best))
     for seed in range(25):
@@ -154,7 +144,9 @@ def test_criterion_3_block_selection_and_guess_counts():
         mod = compute_modulator(g).vertices
         internal = sum(1 for u, v in g.edges if u in set(mod) and v in set(mod))
         bound = 2 ** (len(mod) + internal)
-        enumerated = sum(1 for _ in enumerate_guesses(g, mod))
+        enumerated = sum(
+            1 for sel in vi_mod._selected_sets(g, mod) for _ in vi_mod._orientations_for_selected(g, mod, sel)
+        )
         stats = {}
         solve_vi(g, g.n, modulator=mod, stats=stats)
         if enumerated > bound or stats["guesses"] > bound:

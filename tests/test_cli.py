@@ -280,6 +280,16 @@ def test_reduce_mcc_reports_choice_groups(tmp_path, capsys):
     assert main(["verify", "--type", "witness", "--input", inp, "--witness", wit]) == 0
 
 
+def test_reduce_mcc_without_classes_is_a_yes_input(tmp_path, capsys):
+    src = put(tmp_path, "g.mcc", "mcc 0 0\n")
+    prefix = str(tmp_path / "td")
+    assert main(["reduce", "--type", "mcc-td", "--input", src, "--output", prefix]) == 0
+    k = capsys.readouterr().out.split("k=")[1].split()[0]
+    argv = ["solve", "--input", prefix + ".cvc", "--k", k, "--algo", "canonical", "--meta", prefix + ".meta"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "FEASIBLE yes\n"
+
+
 def test_reduce_sat_natural_emits_families(tmp_path, capsys):
     src = put(tmp_path, "f.cnf", "p cnf 3 1\n1 2 3 0\n")
     prefix = str(tmp_path / "nat")

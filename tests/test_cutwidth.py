@@ -84,16 +84,16 @@ def test_layer_k2_values():
     arr = LinearArrangement((1, 2))
     layer1 = process_layer(base_layer(), g, arr, 1)
     # signature int 0 = bits (0,) = right-to-left (into vertex 1)
-    assert layer1.table[(0,)] == 1
-    assert layer1.table[(1,)] == 0
+    assert layer1.values[0] == 1
+    assert layer1.values[1] == 0
 
 
 def test_layer_capacity_zero_blocks_incoming():
     g = graph(2, [(1, 2)], {1: 0, 2: 1})
     arr = LinearArrangement((1, 2))
     layer1 = process_layer(base_layer(), g, arr, 1)
-    assert layer1.table[(0,)] == math.inf
-    assert layer1.table[(1,)] == 0
+    assert layer1.values[0] == -1  # no feasible orientation
+    assert layer1.values[1] == 0
 
 
 def test_layer_table_sizes_are_exact():

@@ -273,6 +273,19 @@ def test_output_vertex_count_matches_the_build():
         assert mcc._output_vertices(inst) == reduce_mcc_td(inst).graph.n
 
 
+def test_edgeless_small_instances_match_bruteforce():
+    # k = 0 asks for the empty clique, a yes-input even with n = 0
+    for k in range(3):
+        for n in range(3):
+            inst = MccInstance(k, n, frozenset())
+            red = reduce_mcc_td(inst)
+            assert mcc._output_vertices(inst) == red.graph.n
+            got, cert = solve_canonical(red.graph, red.meta, red.budget)
+            assert got == brute_multicolored_clique(k, n, frozenset()), (k, n)
+            if cert is not None:
+                assert verify_orientation(red.graph, cert).feasible
+
+
 def test_output_cap_counts_the_output_exactly(monkeypatch):
     inst = MccInstance(2, 2, frozenset({frozenset(((1, 1), (2, 1))), frozenset(((1, 2), (2, 2)))}))
     n = mcc._output_vertices(inst)

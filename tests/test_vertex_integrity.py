@@ -11,15 +11,10 @@ from cvckit.core import GraphFormatError, Orientation, StructuralError, normaliz
 from cvckit.generators import gnp
 from cvckit.oracle import solve_exact, solve_pruned
 from cvckit.vertex_integrity import (
-    CatalogOption,
-    ComponentCatalog,
-    component_catalog,
     components_outside,
     compute_modulator,
-    enumerate_guesses,
     format_modulator,
     parse_modulator,
-    solve_block_selection,
     solve_vi,
     solve_vi_opt,
 )
@@ -95,29 +90,35 @@ def test_modulator_file_holds_one_record():
 
 # --- guesses ----------------------------------------------------------------
 
+def _guesses(g, mod):
+    """The engine's guesses: (selected set, internal heads, residuals)."""
+    return [(sel, heads, residual) for sel in vi_mod._selected_sets(g, mod)
+            for heads, residual in vi_mod._orientations_for_selected(g, mod, sel)]
+
+
 def test_guesses_single_vertex_no_edges():
     g = graph(3, [(1, 2), (1, 3)], {1: 2, 2: 1, 3: 1})
-    guesses = list(enumerate_guesses(g, [1]))
+    guesses = _guesses(g, (1,))
     assert len(guesses) == 2
-    assert {gs.selected for gs in guesses} == {frozenset(), frozenset({1})}
-    sel = next(gs for gs in guesses if gs.selected)
-    assert sel.residual == {1: 2}
+    assert {sel for sel, _, _ in guesses} == {frozenset(), frozenset({1})}
+    residual = next(res for sel, _, res in guesses if sel)
+    assert residual == {1: 2}
 
 
 def test_guesses_internal_edge_unit_capacity():
     # frozen from enumerating 2^2 selected sets x 2 orientations and filtering
     # against the validity rules (head selected, capacity respected): 4 survive
     g = graph(2, [(1, 2)], {1: 1, 2: 1})
-    guesses = list(enumerate_guesses(g, [1, 2]))
+    guesses = _guesses(g, (1, 2))
     assert len(guesses) == 4
-    combos = {(tuple(sorted(gs.selected)), gs.orientation_u[(1, 2)]) for gs in guesses}
+    combos = {(tuple(sorted(sel)), heads[(1, 2)]) for sel, heads, _ in guesses}
     assert combos == {((1,), 1), ((2,), 2), ((1, 2), 1), ((1, 2), 2)}
 
 
 def test_guesses_exclude_arcs_into_capacity_zero():
     g = graph(2, [(1, 2)], {1: 0, 2: 1})
-    guesses = list(enumerate_guesses(g, [1, 2]))
-    assert all(gs.orientation_u[(1, 2)] != 1 for gs in guesses)
+    guesses = _guesses(g, (1, 2))
+    assert all(heads[(1, 2)] != 1 for _, heads, _ in guesses)
 
 
 def test_guess_count_bound():
@@ -126,40 +127,32 @@ def test_guess_count_bound():
         g = random_graph(rng, rng.randint(2, 6), 0.5)
         mod = compute_modulator(g).vertices
         internal = sum(1 for u, v in g.edges if u in set(mod) and v in set(mod))
-        count = sum(1 for _ in enumerate_guesses(g, mod))
+        count = len(_guesses(g, mod))
         assert count <= 2 ** (len(mod) + internal)
 
 
 # --- catalogs ----------------------------------------------------------------
 
-def _guess_for(g, mod, selected):
-    for gs in enumerate_guesses(g, mod):
-        if gs.selected == frozenset(selected):
-            return gs
-    raise AssertionError("no such guess")
+def _options(g, mod, selected, comp):
+    """The engine's catalog walk for one component: (load, gain, mask) per option."""
+    return list(vi_mod._component_orientations(g, mod, comp, *vi_mod._component_edges(g, selected, comp)))
 
 
 def test_catalog_single_vertex_selected_neighbor():
     g = graph(2, [(1, 2)], {1: 1, 2: 1})
-    gs = _guess_for(g, [1], {1})
-    cat = component_catalog(g, [1], gs, 0)
-    pairs = {(o.load, o.size_gain) for o in cat.options}
+    pairs = {(load, gain) for load, gain, _ in _options(g, (1,), frozenset({1}), (2,))}
     assert pairs == {((1,), 0), ((0,), 1)}
 
 
 def test_catalog_unselected_neighbor_forces_inward():
     g = graph(2, [(1, 2)], {1: 1, 2: 1})
-    gs = _guess_for(g, [1], set())
-    cat = component_catalog(g, [1], gs, 0)
-    pairs = {(o.load, o.size_gain) for o in cat.options}
+    pairs = {(load, gain) for load, gain, _ in _options(g, (1,), frozenset(), (2,))}
     assert pairs == {((0,), 1)}
 
 
 def test_catalog_empty_when_component_cannot_absorb():
     g = graph(2, [(1, 2)], {1: 1, 2: 0})
-    gs = _guess_for(g, [1], set())
-    cat = component_catalog(g, [1], gs, 0)
-    assert cat.options == ()
+    assert _options(g, (1,), frozenset(), (2,)) == []
 
 
 def test_catalog_options_replay_validly():
@@ -168,17 +161,18 @@ def test_catalog_options_replay_validly():
         g = random_graph(rng, rng.randint(3, 6), 0.5)
         mod = compute_modulator(g).vertices
         comps = components_outside(g, mod)
-        for gs in enumerate_guesses(g, mod):
-            for j, comp in enumerate(comps):
-                cat = component_catalog(g, mod, gs, j)
+        for selected, _, _ in _guesses(g, mod):
+            for comp in comps:
+                forced, free = vi_mod._component_edges(g, selected, comp)
+                options = list(vi_mod._component_orientations(g, mod, comp, forced, free))
                 fset = [
                     (u, v)
                     for u, v in g.edges
                     if u in set(comp) or v in set(comp)
                 ]
-                assert len(cat.options) <= 2 ** len(fset)
-                for opt in cat.options:
-                    heads = dict(opt.heads)
+                assert len(options) <= 2 ** len(fset)
+                for opt_load, size_gain, mask in options:
+                    heads = vi_mod._component_heads(forced, free, mask)
                     assert set(heads) == set(fset)
                     indeg = {w: 0 for w in comp}
                     load = [0] * len(mod)
@@ -186,65 +180,68 @@ def test_catalog_options_replay_validly():
                         if h in indeg:
                             indeg[h] += 1
                         else:
-                            assert h in gs.selected  # rule (i)
+                            assert h in selected  # rule (i)
                             load[mod.index(h)] += 1
                     assert all(indeg[w] <= g.capacity[w] for w in comp)  # rule (ii)
-                    assert tuple(load) == opt.load
-                    assert opt.size_gain == sum(1 for w in comp if indeg[w] > 0)
-                    assert all(x <= len(comp) for x in opt.load)
-                    assert opt.size_gain <= len(comp)
+                    assert tuple(load) == opt_load
+                    assert size_gain == sum(1 for w in comp if indeg[w] > 0)
+                    assert all(x <= len(comp) for x in opt_load)
+                    assert size_gain <= len(comp)
             break  # one guess per instance keeps this quick
 
 
 # --- block selection ---------------------------------------------------------
 
-def _catalog(mod_order, pairs, cid=0):
-    options = tuple(CatalogOption(load, gain, ()) for load, gain in pairs)
-    return ComponentCatalog(cid, (), tuple(mod_order), options)
+def _select(blocks, residual):
+    """The engine's block selection: the residual clamped by the reach."""
+    return vi_mod._block_select(blocks, list(map(min, residual, vi_mod._reach(blocks, len(residual)))))[0]
+
+
+def _block(pairs):
+    return vi_mod._reduce_options((load, gain, None) for load, gain in pairs)
 
 
 def test_block_selection_worked_example():
-    cats = [
-        _catalog((1,), [((1,), 1), ((0,), 2)], 0),
-        _catalog((1,), [((1,), 1), ((0,), 2)], 1),
+    blocks = [
+        _block([((1,), 1), ((0,), 2)]),
+        _block([((1,), 1), ((0,), 2)]),
     ]
-    assert solve_block_selection(cats, {1: 1}) == 3
+    assert _select(blocks, [1]) == 3
 
 
 def test_block_selection_slack_residual():
-    cats = [
-        _catalog((1, 2), [((1, 0), 2), ((0, 1), 1)], 0),
-        _catalog((1, 2), [((1, 1), 3), ((0, 0), 5)], 1),
+    blocks = [
+        _block([((1, 0), 2), ((0, 1), 1)]),
+        _block([((1, 1), 3), ((0, 0), 5)]),
     ]
-    assert solve_block_selection(cats, {1: 10, 2: 10}) == 1 + 3
+    assert _select(blocks, [10, 10]) == 1 + 3
 
 
 def test_block_selection_infeasible():
-    cats = [_catalog((1,), [((5,), 1)])]
-    assert solve_block_selection(cats, {1: 3}) == math.inf
+    blocks = [_block([((5,), 1)])]
+    assert _select(blocks, [3]) == math.inf
 
 
 def test_block_selection_matches_exhaustive():
     rng = random.Random(37)
     for _ in range(25):
         width = rng.randint(1, 3)
-        order = tuple(range(1, width + 1))
-        cats = []
-        for cid in range(rng.randint(1, 4)):
+        catalogs = []
+        for _ in range(rng.randint(1, 4)):
             options = []
             for _ in range(rng.randint(1, 5)):
                 load = tuple(rng.randint(0, 3) for _ in range(width))
                 options.append((load, rng.randint(0, 4)))
-            cats.append(_catalog(order, options, cid))
-        residual = {u: rng.randint(0, 6) for u in order}
-        got = solve_block_selection(cats, residual)
+            catalogs.append(options)
+        residual = [rng.randint(0, 6) for _ in range(width)]
+        got = _select([_block(options) for options in catalogs], residual)
         best = math.inf
-        for picks in product(*[c.options for c in cats]):
+        for picks in product(*catalogs):
             if all(
-                sum(p.load[i] for p in picks) <= residual[order[i]]
+                sum(load[i] for load, _ in picks) <= residual[i]
                 for i in range(width)
             ):
-                best = min(best, sum(p.size_gain for p in picks))
+                best = min(best, sum(gain for _, gain in picks))
         assert got == best
 
 
