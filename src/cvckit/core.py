@@ -13,9 +13,10 @@ Instance and certificate files are line-oriented records, read line by
 line with ``#`` comments and line numbers in every error.  Text in
 exactly the shape the formatters write (a header, then lines ``<kw>
 <digits> <digits>``, each ended by a newline) is read in one pass
-instead, with its columns checked in bulk; any other text, and any text
-that fails a bulk check, is read by the per-line code, which alone
-decides every error and its message.
+instead: one regex checks its shape, one C-level pass (``json``) reads
+every integer, and its columns are checked in bulk.  Any other text, and
+any text that fails a bulk check, is read by the per-line code, which
+alone decides every error and its message.
 
 All objects here are immutable after construction and every operation is
 a pure function of its inputs, so instances can be shared freely across
@@ -24,6 +25,7 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 from dataclasses import dataclass, field
@@ -353,7 +355,8 @@ def _ints(fields: Iterable[str], lineno: int, what: str) -> list[int]:
         raise GraphFormatError(f"line {lineno}: non-integer {what}") from None
 
 
-_PLAIN_LINES = re.compile(r"(?:[a-z]+ [0-9]+ [0-9]+\n)*")
+# keywords and newlines dropped, spaces made commas: ``<kw> <a> <b>\n`` becomes ``,<a>,<b>``
+_JSON_INTEGERS = str.maketrans(" ", ",", "\nabcdefghijklmnopqrstuvwxyz")
 
 
 def _plain_records(text: str, *blocks: tuple[str, int]) -> list[tuple[list[int], list[int]]] | None:
@@ -361,24 +364,28 @@ def _plain_records(text: str, *blocks: tuple[str, int]) -> list[tuple[list[int],
 
     ``text`` qualifies when it is exactly the blocks in order, block
     ``(kw, count)`` being ``count`` lines ``<kw> <digits> <digits>``, each
-    ended by a newline: no comment, blank line, other whitespace, sign or
-    non-ASCII digit.  The line count is compared first, so that nothing of
-    a declared size is read or allocated before the text is known to hold
-    that many lines.
+    ended by a newline: no comment, blank line, other whitespace, sign,
+    leading zero or non-ASCII digit.  The line count is compared first, so
+    that nothing of a declared size is read or allocated before the text is
+    known to hold that many lines.  One regex then checks the whole shape;
+    its repeats are possessive, so the matcher keeps no backtracking state
+    per line.  One C-level pass reads every integer: the text, translated to
+    comma-separated digits, is read as one JSON list, and each column is a
+    stride-2 slice of it.
     """
-    if text.count("\n") != sum(count for _, count in blocks) or _PLAIN_LINES.fullmatch(text) is None:
+    if text.count("\n") != sum(count for _, count in blocks):
         return None
-    tokens = text.split()
+    if re.fullmatch("".join(f"(?:{kw} [0-9]++ [0-9]++\n){{{count}}}+" for kw, count in blocks), text) is None:
+        return None
+    try:
+        numbers = json.loads(f"[0{text.translate(_JSON_INTEGERS)}]")
+    except ValueError:  # a leading zero, or more digits than int() converts
+        return None
     columns = []
-    start = 0
-    for kw, count in blocks:
-        stop = start + 3 * count
-        if tokens[start:stop:3].count(kw) != count:
-            return None
-        try:
-            columns.append((list(map(int, tokens[start + 1:stop:3])), list(map(int, tokens[start + 2:stop:3]))))
-        except ValueError:  # more digits than int() converts
-            return None
+    start = 1
+    for _, count in blocks:
+        stop = start + 2 * count
+        columns.append((numbers[start:stop:2], numbers[start + 1:stop:2]))
         start = stop
     return columns
 
@@ -535,5 +542,7 @@ def _parse_orientation_lines(text: str, g: CapacitatedGraph) -> Orientation:
 
 
 def format_orientation(orientation: Orientation) -> str:
-    lines = [f"a {t} {h}" for t, h in sorted(orientation.arcs())]
-    return "\n".join(lines) + "\n"
+    """One ``a <tail> <head>`` line per arc in sorted order, as one template
+    format; an orientation without arcs is a single newline."""
+    arcs = sorted(orientation.arcs())
+    return "a %d %d\n" * len(arcs) % tuple(chain.from_iterable(arcs)) or "\n"

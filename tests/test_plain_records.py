@@ -6,6 +6,9 @@ to the per-line reader (``_content_lines``).  Both must agree on every text:
 the same value, or the same exception with the same message.
 """
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +153,9 @@ READERS = {  # the one-pass entry point and the per-line reader of each file kin
     ("instance", "cvc 3 2\nv 1 1\nv 3 1\nv 2 2\ne 1 2\ne 2 3\n"),  # vertices out of order
     ("instance", "cvc 3 2\nv 1 1\nv 2 2\ne 3 1\ne 1 2\ne 2 3\n"),  # an edge among the vertices
     ("instance", P3_HEAD + "e 1 2\ne 2 " + "3" * 5000 + "\n"),  # more digits than int() reads
+    ("instance", P3_HEAD + "e 1 2\ne 2 " + "3" * 4300 + "\n"),  # as many digits as int() reads
+    ("instance", P3_HEAD + "e 1 2\ne 2 03\n"),  # a leading zero: int() reads it, json does not
+    ("instance", "cvc 3 2\nv 1 1\nve 2 2\nv 3 1\ne 1 2\ne 2 3\n"),  # a keyword one letter too long
     ("instance", "cvc 3 2\n"),  # header larger than the text
     ("orientation", "a 1 2\na 2 1\n"),  # two arcs over one edge
     ("orientation", "a 1 2\na 1 3\n"),  # an arc over a non-edge
@@ -161,13 +167,31 @@ def test_plain_text_failing_a_bulk_check_gets_the_per_line_answer(kind, text):
     assert outcome(one_pass, text) == outcome(per_line, text)
 
 
+def test_lifted_digit_limit_reads_alike():
+    """With ``int()``'s digit limit lifted, the one-pass reader reads a
+    5,000-digit capacity as the per-line reader does."""
+    text = "cvc 3 2\nv 1 1\nv 2 " + "2" * 5000 + "\nv 3 1\ne 1 2\ne 2 3\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert outcome(parse_instance, text) == outcome(core._parse_instance_lines, text)
+        assert core._parse_plain_instance(text) == core._parse_instance_lines(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- formatter output takes the one-pass path ------------------------------------
+
+def _mcc_td_output():
+    """The mcc-td reduction of the complete 2-class, 2-vertex instance."""
+    full = frozenset(frozenset(((1, a), (2, b))) for a in (1, 2) for b in (1, 2))
+    return reduce_mcc_td(MccInstance(2, 2, full))
+
 
 def _reduction_outputs():
     """(graph, certificate, witness or None) of one small yes instance of
     the mcc-td, sat-cw and smc reductions."""
-    full = frozenset(frozenset(((1, a), (2, b))) for a in (1, 2) for b in (1, 2))
-    mcc_red = reduce_mcc_td(MccInstance(2, 2, full))
+    mcc_red = _mcc_td_output()
     cw_red = reduce_sat_cw(Cnf1in3(3, (((1, True), (2, True), (3, True)),)))
     smc_red = reduce_smc(SmcInstance(2, (frozenset({1, 2}), frozenset({1})), 1, 1))
     outputs = []
@@ -210,3 +234,17 @@ def test_commented_file_is_read_line_by_line(monkeypatch):
     commented = "# mcc-td output\n" + format_instance(g)
     assert parse_instance(commented) == g
     assert calls == [commented]
+
+
+def test_plain_read_of_a_reduction_output_stays_small():
+    # 851,676 characters; traced peak 8.5 MB with one integer pass, 21.4 MB
+    # with a backtracking line regex and the whole text split into tokens
+    g = _mcc_td_output().graph
+    text = format_instance(g)
+    tracemalloc.start()
+    try:
+        assert parse_instance(text) == g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * len(text)

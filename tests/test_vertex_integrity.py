@@ -39,7 +39,9 @@ def test_modulator_star():
     assert mod.vi == 2 and mod.vertices == (1,)
     # exhaustive check that no smaller integrity value is witnessed
     assert all(
-        len(components_outside(g, ())) and True for _ in [0]
+        len(s) + max(map(len, components_outside(g, s)), default=0) >= 2
+        for r in range(g.n + 1)
+        for s in combinations(g.vertices(), r)
     )
 
 
