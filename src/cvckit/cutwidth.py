@@ -89,6 +89,8 @@ def format_arrangement(arr: LinearArrangement) -> str:
 def cut_edges(g: CapacitatedGraph, arr: LinearArrangement, i: int) -> list[tuple[int, int]]:
     """Edges crossing the cut after position i, as (left, right) pairs in
     canonical order (by position of the left, then the right endpoint)."""
+    if len(arr) != g.n:
+        raise StructuralError("arrangement size does not match the instance")
     if not 0 <= i <= g.n:
         raise StructuralError(f"cut index {i} out of range")
     pos = arr.position
@@ -284,60 +286,55 @@ def find_arrangement(
 ) -> LinearArrangement:
     """Produce a linear arrangement.
 
-    Exact mode minimizes the cutwidth by subset DP and is capped; heuristic
-    mode runs breadth-first placement plus first-improvement reinsertion
-    and carries no optimality guarantee.
+    Heuristic mode runs breadth-first placement plus first-improvement
+    reinsertion and carries no optimality guarantee.  Exact mode is capped
+    and takes the heuristic order, then a width-bounded prefix search that
+    proves it optimal: an order one width lower, until there is none.
     """
     if mode == "exact":
         if g.n > exact_cap:
             raise CapExceededError(f"exact arrangement capped at {exact_cap} vertices")
-        return _exact_arrangement(g)
+        arr = _heuristic_arrangement(g)
+        failed: set[int] = set()
+        while (narrower := _order_within(g, cutwidth_of(g, arr) - 1, failed)) is not None:
+            arr = narrower
+        return arr
     if mode == "heuristic":
         return _heuristic_arrangement(g)
     raise ValueError(f"unknown arrangement mode '{mode}'")
 
 
-def _exact_arrangement(g: CapacitatedGraph) -> LinearArrangement:
-    n = g.n
-    if n == 0:
-        return LinearArrangement(())
-    nbm = [0] * (n + 1)
-    for u, v in g.edges:
-        nbm[u] |= 1 << (v - 1)
-        nbm[v] |= 1 << (u - 1)
-    deg = g.degree
+def _order_within(g: CapacitatedGraph, width: int, failed: set[int]) -> LinearArrangement | None:
+    """An arrangement with every prefix cut at most ``width``, or None.
+
+    Depth-first over prefix sets S (vertex bitmasks), vertices in id order; adding v
+    changes the cut by deg(v) - 2|N(v) & S|.  ``failed`` gains each set with no completion:
+    it fails at every lower width too, so one set serves a descending run of widths.
+    """
+    if width < 0:
+        return None
+    n, deg = g.n, g.degree
+    nbm = [sum(1 << (w - 1) for w in g.neighbors(v)) for v in range(n + 1)]
     full = (1 << n) - 1
-    width = [0] * (1 << n)  # cut size after placing exactly the mask
-    best = [0] * (1 << n)  # minimal max-cut over orderings of the mask
-    choice = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        width_here = None
-        bval = None
-        pick = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()
-            prevm = mask ^ low
-            if width_here is None:
-                width_here = width[prevm] + deg[v] - 2 * (nbm[v] & prevm).bit_count()
-            cand = best[prevm]
-            w = width_here
-            cand = cand if cand >= w else w
-            if bval is None or cand < bval:
-                bval = cand
-                pick = v
-        width[mask] = width_here
-        best[mask] = bval
-        choice[mask] = pick
-    order = [0] * n
-    mask = full
-    for i in range(n - 1, -1, -1):
-        v = choice[mask]
-        order[i] = v
-        mask ^= 1 << (v - 1)
-    return LinearArrangement(tuple(order))
+    stack = [[0, 0, 1]]  # per prefix: its set, its cut and the next vertex to try
+    while stack:
+        mask, cut, v = stack[-1]
+        if mask == full:  # below the top, each frame's next vertex is one past the one it placed
+            return LinearArrangement(tuple(f[2] - 1 for f in stack[:-1]))
+        while v <= n:
+            bit = 1 << (v - 1)
+            if not mask & bit:
+                grown = cut + deg[v] - 2 * (nbm[v] & mask).bit_count()
+                if grown <= width and mask | bit not in failed:
+                    break
+            v += 1
+        if v > n:
+            failed.add(mask)
+            stack.pop()
+            continue
+        stack[-1][2] = v + 1
+        stack.append([mask | bit, grown, 1])
+    return None
 
 
 def _heuristic_arrangement(g: CapacitatedGraph) -> LinearArrangement:

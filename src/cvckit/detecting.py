@@ -40,8 +40,8 @@ def is_detecting(
     """True iff the vector of subset sums determines every function
     universe -> {0..d-1}; equivalently, no two distinct functions share all
     subset sums.  A family holding {x} for every x detects, since its sum
-    is f(x); any other family is enumerated, guarded by the cap on
-    d^(2|U|)."""
+    is f(x).  Any other family must pass the cap on d^(2|U|); then it
+    detects at d = 1, and for d >= 2 it is enumerated."""
     if d < 1 or universe_size < 0:
         raise ValueError("need d >= 1 and a non-negative universe")
     sets = [sorted(set(s)) for s in family]
@@ -53,6 +53,8 @@ def is_detecting(
     # d^(2U) > cap, without building d^(2U): for d >= 2, d^b > cap at b = cap.bit_length()
     if d ** min(2 * universe_size, check_cap.bit_length()) > check_cap:
         raise CapExceededError("detecting-family check too large for the configured cap")
+    if d == 1:  # only the zero function exists; enumerating it would build a u-tuple
+        return True
     seen: set[tuple[int, ...]] = set()
     for values in product(range(d), repeat=universe_size):
         sig = tuple(sum(values[x - 1] for x in s) for s in sets)

@@ -171,3 +171,13 @@ def forest_dp_exhaustive(g: CapacitatedGraph):
         if not seen[r]:
             total += solve(r)
     return total
+
+
+def brute_cutwidth(g: CapacitatedGraph):
+    """Cutwidth by a subset DP: the best order of a set S ends in some v of
+    S, so best[S] = max(cut(S), min over v of best[S - v]) (n <= ~15)."""
+    best = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        cut = sum(1 for u, v in g.edges if (mask >> (u - 1) & 1) != (mask >> (v - 1) & 1))
+        best[mask] = max(cut, min(best[mask ^ (1 << i)] for i in range(g.n) if mask >> i & 1))
+    return best[-1]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -21,7 +22,7 @@ from cvckit.cutwidth import (
 )
 from cvckit.generators import gnp, layered_with_ctw, sparse_with_fes
 from cvckit.oracle import solve_exact
-from bruteforce import brute_min_orientation
+from bruteforce import brute_cutwidth, brute_min_orientation
 
 
 def graph(n, edges, caps):
@@ -66,6 +67,13 @@ def test_cutwidth_path_and_k4():
     assert cutwidth_of(gk, LinearArrangement((1, 2, 3, 4))) == 4
     ge = graph(3, [], {v: 0 for v in (1, 2, 3)})
     assert cutwidth_of(ge, LinearArrangement((1, 2, 3))) == 0
+
+
+def test_cut_edges_refuses_an_arrangement_of_another_size():
+    g = graph(3, [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 1})
+    for order in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(StructuralError, match="arrangement size does not match"):
+            cut_edges(g, LinearArrangement(order), 1)
 
 
 @pytest.mark.parametrize("order", [(1, 2, 3), (1, 2, 3, 4, 5)])
@@ -223,6 +231,34 @@ def test_heuristic_never_beats_exact():
         h = cutwidth_of(g, find_arrangement(g, "heuristic"))
         e = cutwidth_of(g, find_arrangement(g, "exact"))
         assert h >= e
+
+
+def test_exact_arrangement_matches_subset_dp():
+    rng = random.Random(61)
+    sizes = [rng.randint(1, 8) for _ in range(985)] + [rng.randint(9, 15) for _ in range(15)]
+    for n in sizes:
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.9]))
+        exact = cutwidth_of(g, find_arrangement(g, "exact"))
+        assert exact == brute_cutwidth(g)
+        assert exact <= cutwidth_of(g, find_arrangement(g, "heuristic"))
+
+
+def test_exact_arrangement_of_a_path_stays_small():
+    g = graph(16, [(v, v + 1) for v in range(1, 16)], {v: 1 for v in range(1, 17)})
+    tracemalloc.start()
+    try:
+        arr = find_arrangement(g, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cutwidth_of(g, arr) == 1
+    assert peak < 256 * 1024
+
+
+def test_exact_arrangement_finds_the_planted_cutwidth():
+    for s in range(20):
+        g = relabelled(layered_with_ctw(60, 5, s, extra=24), random.Random(s))
+        assert cutwidth_of(g, find_arrangement(g, "exact", exact_cap=60)) == 5
 
 
 def test_exact_arrangement_refuses_above_cap():

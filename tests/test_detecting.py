@@ -147,6 +147,16 @@ def test_cap_refusal_does_not_build_the_power():
     assert peak < 1_000_000
 
 
+def test_one_value_detects_without_enumerating():
+    tracemalloc.start()
+    try:
+        assert is_detecting(10**6, [], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_cap_refuses_exactly_when_the_power_exceeds_it():
     family = [set()]  # no singleton, so the cap applies
     for universe, d, cap in product(range(1, 5), range(1, 5), (-1, 0, 1, 15, 16, 17, 4095, 4096, 10**8)):
