@@ -14,8 +14,9 @@ line with ``#`` comments and line numbers in every error.  Text in
 exactly the shape the formatters write (a header, then lines ``<kw>
 <digits> <digits>``, each ended by a newline) is read in one pass
 instead: one regex checks its shape, one C-level pass (``json``) reads
-every integer, and its columns are checked in bulk.  Any other text, and
-any text that fails a bulk check, is read by the per-line code, which
+every integer, and the object it describes is checked as a whole (an
+instance by the ``CapacitatedGraph`` constructor).  Any other text, and
+any text that fails such a check, is read by the per-line code, which
 alone decides every error and its message.
 
 All objects here are immutable after construction and every operation is
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -78,23 +79,12 @@ class CapacitatedGraph:
             if u == v:
                 raise StructuralError(f"loop at vertex {u}")
             if not (1 <= u < v <= self.n):
-                raise StructuralError(f"edge ({u},{v}) out of range or not canonical")
+                raise StructuralError(f"edge ({u},{v}) outside the vertex ids 1..{self.n} or not canonical")
             if e <= prev:  # strictly increasing, so no duplicates either
                 if e == prev:
-                    raise StructuralError(f"duplicate edge ({u},{v})")
+                    raise StructuralError(f"repeated edge ({u},{v})")
                 raise StructuralError("edges not in canonical order")
             prev = e
-
-    @classmethod
-    def _trusted(
-        cls, n: int, edges: tuple[Edge, ...], capacity: tuple[int, ...], budget: int | None
-    ) -> "CapacitatedGraph":
-        """A graph whose fields the caller has already checked: n >= 0, one
-        capacity per vertex, edges canonical, in range and strictly
-        increasing.  Skips the checks of ``__post_init__``."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, capacity=capacity, budget=budget)
-        return g
 
     def _check_capacity(self) -> None:
         if len(self.capacity) != self.n + 1:
@@ -396,7 +386,9 @@ _PLAIN_HEADER = re.compile(r"cvc ([0-9]+) ([0-9]+)(?: ([0-9]+))?")
 def _parse_plain_instance(text: str) -> CapacitatedGraph | None:
     """The graph of an instance file in the shape ``format_instance``
     writes (vertex lines 1..n in order, then canonical edges in strictly
-    increasing order), or None for any other text."""
+    increasing order), or None for any other text.  The constructor checks
+    the edges; text it refuses is None too, so that the per-line reader
+    names the bad line."""
     head, _, body = text.partition("\n")
     header = _PLAIN_HEADER.fullmatch(head)
     if header is None:
@@ -410,18 +402,12 @@ def _parse_plain_instance(text: str) -> CapacitatedGraph | None:
     if records is None:
         return None
     (ids, caps), (us, vs) = records
-    edges = list(zip(us, vs))
-    if (
-        ids != list(range(1, n + 1))
-        or min(us, default=1) < 1
-        or max(vs, default=0) > n
-        or not all(map(operator.lt, us, vs))
-        or not all(map(operator.lt, edges, edges[1:]))
-    ):
+    if ids != list(range(1, n + 1)):
         return None
-    # Capacities are digits, so non-negative; with the checks above this is
-    # every condition of ``CapacitatedGraph.__post_init__``.
-    return CapacitatedGraph._trusted(n, tuple(edges), (0, *caps), budget)
+    try:
+        return CapacitatedGraph(n, tuple(zip(us, vs)), (0, *caps), budget)
+    except StructuralError:
+        return None
 
 
 def parse_instance(text: str) -> CapacitatedGraph:
@@ -432,9 +418,9 @@ def parse_instance(text: str) -> CapacitatedGraph:
     a comment.  Errors carry the offending line number.
 
     Text exactly as ``format_instance`` writes it is read in one pass and
-    checked column by column; any other text, or text that fails one of
-    those checks, is read line by line, which accepts the same graphs and
-    gives every error.
+    checked by the ``CapacitatedGraph`` constructor; any other text, or
+    text that fails one of those checks, is read line by line, which
+    accepts the same graphs and gives every error.
     """
     g = _parse_plain_instance(text)
     return g if g is not None else _parse_instance_lines(text)
@@ -494,8 +480,7 @@ def _parse_instance_lines(text: str) -> CapacitatedGraph:
         raise GraphFormatError(f"missing capacity line for vertex {missing[0]}")
     if len(edges) != m:
         raise GraphFormatError(f"declared {m} edges, found {len(edges)}")
-    # Every edge is checked above: canonical, in range and, once sorted, strictly increasing.
-    return CapacitatedGraph._trusted(n, tuple(sorted(edges)), (0, *caps[1:]), budget)
+    return CapacitatedGraph(n, tuple(sorted(edges)), (0, *caps[1:]), budget)
 
 
 def format_instance(g: CapacitatedGraph) -> str:

@@ -9,10 +9,9 @@ it; a leaf of demand 0 has capacity 1, a leaf of demand 1 capacity 0.
 
 from __future__ import annotations
 
-from itertools import islice, repeat, starmap
-from operator import itemgetter, lt
+from itertools import repeat
 
-from ..core import CapacitatedGraph, StructuralError
+from ..core import CapacitatedGraph
 
 
 class Builder:
@@ -36,21 +35,10 @@ class Builder:
         return leaves
 
     def graph(self, budget: int) -> CapacitatedGraph:
-        """The graph built so far.  Its edges are sorted once and checked in
-        bulk; a loop, a repeated edge or an id outside 1..n is a
-        ``StructuralError``.  Capacities are floored at 0 and never exceed
-        the degree, so the graph is built without further checks."""
+        """The graph built so far, its edges sorted once.  The constructor
+        checks them: a loop, a repeated edge or an id outside 1..n is a
+        ``StructuralError``.  Capacities are deg - demand, floored at 0, over
+        the graph's own degrees."""
         n = len(self.demand) - 1
-        edges = sorted(self.edges)
-        if edges and (edges[0][0] < 1 or max(map(itemgetter(1), edges)) > n):
-            raise StructuralError(f"edge outside the vertex ids 1..{n}")
-        if not all(starmap(lt, edges)):
-            raise StructuralError("loop in a built graph")
-        if not all(map(lt, edges, islice(edges, 1, None))):
-            raise StructuralError("repeated edge in a built graph")
-        deg = [0] * (n + 1)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        caps = tuple([d - dem if d > dem else 0 for d, dem in zip(deg, self.demand)])
-        return CapacitatedGraph._trusted(n, tuple(edges), caps, budget)
+        g = CapacitatedGraph(n, tuple(sorted(self.edges)), (0,) * (n + 1), budget)
+        return g.with_capacity([d - dem if d > dem else 0 for d, dem in zip(g.degree, self.demand)])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from ..core import CapacitatedGraph, CapExceededError, GraphFormatError, StructuralError, _ints
@@ -65,6 +64,8 @@ def parse_dimacs(text: str) -> Cnf1in3:
             if num_vars is not None:
                 raise GraphFormatError(f"line {lineno}: second 'p cnf' header")
             num_vars, declared = _ints(parts[2:], lineno, "header field")
+            if min(num_vars, declared) < 0:
+                raise GraphFormatError(f"line {lineno}: negative header field")
             continue
         if num_vars is None:
             raise GraphFormatError(f"line {lineno}: clause before header")
@@ -216,7 +217,6 @@ class NaturalReduction:
     meta: ChoiceGroups
     grouping: Grouping
     families: tuple[DetectingFamily, ...]
-    assignment_of: dict  # assignment-vertex id -> (group index, {var: bool})
     choice_heads: tuple[int, ...]  # one per variable group
     test_pairs: tuple[tuple[int, int, int], ...]  # (a, a-complement, set size)
 
@@ -255,16 +255,16 @@ def reduce_sat_natural(
 
     b = Builder()
     choice_heads: list[int] = []  # u_p ids
-    assignment_ids: list[list[int]] = []  # per group
-    assignment_of: dict[int, tuple[int, dict[int, bool]]] = {}
-    for p, vgroup in enumerate(grouping.variable_groups):
+    # per group; assignment t sets the group's j-th variable true exactly
+    # when bit len(group) - 1 - j of t is set
+    assignment_ids: list[list[int]] = []
+    for vgroup in grouping.variable_groups:
         u_p = b.vertex(1)
         choice_heads.append(u_p)
         ids = []
-        for bits in product((False, True), repeat=len(vgroup)):
+        for _ in range(1 << len(vgroup)):
             vid = b.vertex()
             ids.append(vid)
-            assignment_of[vid] = (p, dict(zip(vgroup, bits)))
             b.edge(u_p, vid)
         assignment_ids.append(ids)
     all_assignment = [vid for ids in assignment_ids for vid in ids]
@@ -282,9 +282,9 @@ def reduce_sat_natural(
                 if occ is None or occ[0] not in clause_ids:
                     continue
                 _, (var, positive) = occ
-                for vid in assignment_ids[p]:
-                    if assignment_of[vid][1][var] == positive:
-                        satisfied.add(vid)
+                vgroup = grouping.variable_groups[p]
+                shift = len(vgroup) - 1 - vgroup.index(var)
+                satisfied.update(vid for t, vid in enumerate(assignment_ids[p]) if (t >> shift & 1) == positive)
             for vid in all_assignment:
                 target = a_id if vid in satisfied else a_mate
                 b.edge(target, vid)
@@ -304,7 +304,6 @@ def reduce_sat_natural(
         meta,
         grouping,
         tuple(families),
-        assignment_of,
         tuple(choice_heads),
         tuple(test_pairs),
     )
@@ -319,7 +318,6 @@ class CwReduction:
     budget: int
     expression: CliquewidthExpression
     meta: ChoiceGroups
-    selector_of: dict  # variable -> (v_i id, negated id)
 
 
 def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
@@ -359,7 +357,7 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
     # side 1: positive literal copies, side 2: negative ones; the side is also
     # the label a copy keeps until its clause vertices join it
     copies: dict[int, list[int]] = {1: [], 2: []}
-    selector_of: dict[int, tuple[int, int]] = {}
+    selectors: list[frozenset[int]] = []  # {v_i, its negation} per variable
 
     for var in range(1, n + 1):
         v_id = b.vertex()
@@ -384,7 +382,7 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
             ops.append(("join", 4, 3))
             ops.append(("relabel", 3, side))
         ops.append(("relabel", 4, 6))
-        selector_of[var] = (v_id, bar_id)
+        selectors.append(frozenset((v_id, bar_id)))
 
     clause_ids = []
     for side in (1, 2):
@@ -398,6 +396,5 @@ def reduce_sat_cw(psi: Cnf1in3) -> CwReduction:
 
     graph = b.graph(k)
     marked = frozenset(copies[1] + copies[2] + clause_ids)
-    groups = tuple(frozenset(selector_of[v]) for v in range(1, n + 1))
-    meta = ChoiceGroups(marked, groups, frozenset())
-    return CwReduction(graph, k, CliquewidthExpression(tuple(ops)), meta, selector_of)
+    meta = ChoiceGroups(marked, tuple(selectors), frozenset())
+    return CwReduction(graph, k, CliquewidthExpression(tuple(ops)), meta)

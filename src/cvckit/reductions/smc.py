@@ -81,14 +81,12 @@ def parse_smc(text: str) -> SmcInstance:
         elif parts[0] == "set":
             if header is None:
                 raise GraphFormatError(f"line {lineno}: set before header")
-            try:
-                j = int(parts[1])
-                elems = frozenset(int(x) for x in parts[2:])
-            except (IndexError, ValueError):
-                raise GraphFormatError(f"line {lineno}: bad set line") from None
+            if len(parts) < 2:
+                raise GraphFormatError(f"line {lineno}: expected 'set <j> <elements...>'")
+            j, *elems = _ints(parts[1:], lineno, "set field")
             if j in sets:
                 raise GraphFormatError(f"line {lineno}: duplicate set {j}")
-            sets[j] = elems
+            sets[j] = frozenset(elems)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
     if header is None:

@@ -693,6 +693,14 @@ def test_reduce_smc_negative_header(tmp_path, capsys):
                          "--output", str(tmp_path / "s")], capsys)
 
 
+@pytest.mark.parametrize("kind", ["sat-cw", "sat-natural"])
+def test_reduce_dimacs_negative_header(tmp_path, capsys, kind):
+    src = put(tmp_path, "f.cnf", "p cnf -5 0\n")
+    assert_config_error(["reduce", "--type", kind, "--input", src,
+                         "--output", str(tmp_path / "f")], capsys)
+    assert list(tmp_path.iterdir()) == [tmp_path / "f.cnf"]
+
+
 def complete(n, cap):
     lines = [f"cvc {n} {n * (n - 1) // 2}"] + [f"v {v} {cap}" for v in range(1, n + 1)]
     lines += [f"e {u} {v}" for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -49,6 +49,20 @@ def test_rejects_loops_and_duplicates():
         CapacitatedGraph(2, ((1, 2), (1, 2)), (0, 1, 1))
 
 
+@pytest.mark.parametrize("edges, message", [
+    (((1, 2), (2, 2), (3, 3)), "loop at vertex 2"),
+    (((1, 2), (1, 3), (1, 3), (2, 2)), "repeated edge (1,3)"),
+    (((0, 2), (1, 4)), "edge (0,2) outside the vertex ids 1..3 or not canonical"),
+    (((1, 2), (2, 4), (0, 1)), "edge (2,4) outside the vertex ids 1..3 or not canonical"),
+    (((1, 2), (3, 2)), "edge (3,2) outside the vertex ids 1..3 or not canonical"),
+    (((1, 3), (1, 2), (1, 1)), "edges not in canonical order"),
+], ids=["loop", "repeat", "zero", "above-n", "reversed", "out-of-order"])
+def test_constructor_names_the_first_bad_edge(edges, message):
+    with pytest.raises(StructuralError) as err:
+        CapacitatedGraph(3, edges, (0, 1, 1, 1))
+    assert str(err.value) == message
+
+
 def test_build_canonicalizes_edges():
     g = graph(3, [(3, 1), (2, 1)], {1: 1, 2: 1, 3: 1})
     assert g.edges == ((1, 2), (1, 3))
@@ -343,6 +357,7 @@ NON_INTEGER_FIELDS = [
     (parse_witness, "parent 1 0\nparent x 1\n", "line 2: non-integer field"),
     (parse_mcc, "mcc 2 1\nclass 1 x\n", "line 2: non-integer field"),
     (parse_smc, "smc 1 1 x 1\n", "line 1: non-integer header"),
+    (parse_smc, "smc 1 1 0 0\nset 1 x\n", "line 2: non-integer set field"),
     (parse_dimacs, "c comment\np cnf 3 x\n", "line 2: non-integer header field"),
     (parse_dimacs, "p cnf 3 1\n1 2 x 0\n", "line 2: non-integer literal"),
 ]

@@ -63,6 +63,8 @@ def test_parsers_raise_only_format_or_structure_errors(text):
         (parse_expression, "merge 1 2\n", "line 1: unknown operation"),
         (parse_expression, "join 1 x\n", "line 1: non-integer field"),
         (parse_smc, "smc 0 0 0 -1\n", "line 1: negative header field"),
+        (parse_smc, "smc 1 1 0 0\nset\n", "line 2: expected 'set <j> <elements...>'"),
+        (parse_dimacs, "p cnf -5 0\n", "line 1: negative header field"),
     ],
 )
 def test_record_errors_name_their_cause(parse, text, message):

@@ -1,7 +1,8 @@
 """The benchmark tracer (``cvcbench/tracing.py``) wraps cvckit functions by
 module and attribute name, and the benchmark scripts import cvckit names;
 a rename in cvckit must fail here, not in a benchmark run.  The package
-itself imports nothing outside the standard library."""
+itself imports nothing outside the standard library, and no name it never
+uses."""
 
 import ast
 import importlib
@@ -53,3 +54,26 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+# Imported names that other code reads through the importing module.
+READ_THROUGH = {("cli.py", "AUTO_FES_CAP")}  # cvcbench/workloads.py, tests/test_cli.py
+
+
+def test_package_imports_no_unused_name():
+    unused = []
+    for path in sorted((ROOT / "src" / "cvckit").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        rel = path.relative_to(ROOT / "src" / "cvckit").as_posix()
+        for node in _imports(path):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and (rel, name) not in READ_THROUGH:
+                    unused.append(f"{rel} imports {name}")
+    assert not unused, unused
