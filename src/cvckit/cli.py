@@ -26,6 +26,7 @@ from .core import (
 )
 from .cutwidth import (
     LinearArrangement,
+    check_degree_floor,
     cutwidth_of,
     find_arrangement,
     format_arrangement,
@@ -66,6 +67,7 @@ def _emit_json(path: str | None, payload: dict) -> None:
 def _load_arrangement(g: CapacitatedGraph, args) -> LinearArrangement:
     if args.arrangement:
         return parse_arrangement(_read(args.arrangement))
+    check_degree_floor(g)  # refuses before any search when no arrangement can fit the cap
     mode = args.find_arrangement or "heuristic"
     return find_arrangement(g, mode)
 

@@ -9,8 +9,10 @@ Each layer is built from the previous cut.  The edges ending at the new
 vertex leave it; the kept edges move, in their order, to the high bits of
 the signature, and the edges from the new vertex to later ones fill the
 low bits.  A previous entry is compared as one packed key, value above
-signature, so ``min`` over whole columns of kept patterns is the whole
-tie-break rule: predecessors are bucketed by how many edges enter the new
+signature, so one integer comparison ``p if p < q else q`` per element,
+in list comprehensions over whole columns of kept patterns, is the whole
+tie-break rule: the smallest value, then the smallest predecessor
+signature.  Predecessors are bucketed by how many edges enter the new
 vertex from the left, then prefix minima over the buckets give one row per
 count of new edges entering it.  One layer costs time proportional to
 2^{|prev cut|} + 2^{|cut|} times a small polynomial, and its scratch lists
@@ -113,6 +115,18 @@ def cutwidth_of(g: CapacitatedGraph, arr: LinearArrangement) -> int:
     return max(_cut_profile(g, arr.order))
 
 
+def check_degree_floor(g: CapacitatedGraph) -> None:
+    """Refuse, in O(n + m), a graph that no arrangement fits under ``MAX_CUT_BITS``.
+
+    A vertex of degree d leaves at least ceil(d / 2) of its edges on one
+    side of its slot, so every arrangement is at least that wide.
+    """
+    top = max(g.degree, default=0)
+    floor = -(-top // 2)
+    if floor > MAX_CUT_BITS:
+        raise CapExceededError(f"a vertex of degree {top} forces cutwidth {floor}, above cap {MAX_CUT_BITS}")
+
+
 def _cut_profile(g: CapacitatedGraph, order: Sequence[int]) -> list[int]:
     """Entry j: the edges between the first j vertices of ``order`` and the rest."""
     pos = [0] * (len(order) + 1)
@@ -172,14 +186,16 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
     new-edge bits ``rm`` is entry ``(ti << nr) | rm``.
 
     A previous entry is compared as one key, ``value << S | signature``
-    with S the previous cut's width, or ``NONE`` when infeasible, so ``min``
-    picks the smallest value, then the smallest predecessor, and occupying
-    v adds ``1 << S``.  Over ``_BLOCK`` kept patterns at a time, each pattern
-    of the ``nl`` edges ending at v gives one column of keys; the columns
-    fold into buckets by how many of those edges enter v, the buckets into
-    prefix minima, and each count b of new edges entering v gives one row,
-    decoded once into the 32-bit ``values``/``preds`` of every ``rm`` with
-    that count.
+    with S the previous cut's width, or ``NONE`` when infeasible, so the
+    smaller of two keys has the smaller value, then the smaller
+    predecessor, and occupying v adds ``1 << S``.  Over ``_BLOCK`` kept
+    patterns at a time, each pattern of the ``nl`` edges ending at v gives
+    one column of keys; the columns fold into buckets by how many of those
+    edges enter v, the buckets into prefix minima, and each count b of new
+    edges entering v gives one row, decoded once into the 32-bit
+    ``values``/``preds`` of every ``rm`` with that count.  Every fold is a
+    comprehension ``p if p < q else q`` over two columns, with the step of
+    a row added in the same pass.
     """
     if prev.cut_index != i - 1:
         raise StructuralError("layers must be processed in position order")
@@ -213,21 +229,26 @@ def process_layer(prev: DpLayer, g: CapacitatedGraph, arr: LinearArrangement, i:
         bucket = [None] * (nl + 1)
         for lm in range(NL):
             t = lm.bit_count()  # edges entering v from the left
-            sigs = list(map(or_, block, repeat(l_scatter[lm], size)))
-            column = [NONE if val < 0 else val << S | sp for val, sp in zip(map(pv.__getitem__, sigs), sigs)]
-            bucket[t] = column if bucket[t] is None else list(map(min, bucket[t], column))
-        prefix = [[NONE] * size]  # prefix[t]: least key over buckets 1..t
-        for t in range(1, nl + 1):
-            prefix.append(list(map(min, prefix[-1], bucket[t])))
+            column = [
+                NONE if (val := pv[sp]) < 0 else val << S | sp
+                for sp in map(or_, block, repeat(l_scatter[lm], size))
+            ]
+            held = bucket[t]
+            bucket[t] = column if held is None else [p if p < q else q for p, q in zip(held, column)]
+        prefix = [None, *bucket[1:2]]  # prefix[t], t >= 1: least key over buckets 1..t
+        for t in range(2, nl + 1):
+            prefix.append([p if p < q else q for p, q in zip(prefix[-1], bucket[t])])
         for b, rms in enumerate(by_right):
             if b > cap_v:
                 break
             tmax = min(cap_v - b, nl)
             # bucket 0 occupies v only through new edges; buckets 1..tmax always do
-            if b:
-                row = [k + step for k in map(min, bucket[0], prefix[tmax])]
+            if not tmax:
+                row = [k + step for k in bucket[0]] if b else bucket[0]
+            elif b:
+                row = [(p if p < q else q) + step for p, q in zip(bucket[0], prefix[tmax])]
             else:
-                row = list(map(min, bucket[0], [k + step for k in prefix[tmax]]))
+                row = [p if p < (r := q + step) else r for p, q in zip(bucket[0], prefix[tmax])]
             row_values = array("i", [k >> S if k < NONE else -1 for k in row])
             row_preds = array("i", [k & low_mask if k < NONE else -1 for k in row])
             for rm in rms:

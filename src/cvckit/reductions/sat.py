@@ -36,17 +36,24 @@ class Cnf1in3:
 
     def __post_init__(self):
         for clause in self.clauses:
-            vs = [v for v, _ in clause]
-            if len(set(vs)) != 3:
-                raise GraphFormatError("clauses need three distinct variables")
-            if any(not 1 <= v <= self.num_vars for v in vs):
-                raise GraphFormatError("clause variable out of range")
+            if fault := _clause_fault(clause, self.num_vars):
+                raise GraphFormatError(fault)
 
     def occurrences(self, var: int) -> int:
         return sum(1 for clause in self.clauses for v, _ in clause if v == var)
 
     def within_degree_bound(self, limit: int = 4) -> bool:
         return all(self.occurrences(v) <= limit for v in range(1, self.num_vars + 1))
+
+
+def _clause_fault(clause: tuple[Literal, ...], num_vars: int) -> str | None:
+    """Why ``clause`` is not three distinct variables in 1..num_vars, or None."""
+    vs = [v for v, _ in clause]
+    if len(set(vs)) != 3:
+        return "clauses need three distinct variables"
+    if any(not 1 <= v <= num_vars for v in vs):
+        return "clause variable out of range"
+    return None
 
 
 def parse_dimacs(text: str) -> Cnf1in3:
@@ -72,9 +79,14 @@ def parse_dimacs(text: str) -> Cnf1in3:
         lits = _ints(parts, lineno, "literal")
         if lits and lits[-1] == 0:
             lits = lits[:-1]
+        if 0 in lits:
+            raise GraphFormatError(f"line {lineno}: literal 0 before the clause end")
         if len(lits) != 3:
             raise GraphFormatError(f"line {lineno}: expected exactly 3 literals")
-        clauses.append(tuple((abs(x), x > 0) for x in lits))
+        clause = tuple((abs(x), x > 0) for x in lits)
+        if fault := _clause_fault(clause, num_vars):
+            raise GraphFormatError(f"line {lineno}: {fault}")
+        clauses.append(clause)
     if num_vars is None:
         raise GraphFormatError("missing 'p cnf' header")
     if declared is not None and declared != len(clauses):

@@ -9,6 +9,7 @@ push that many edges onto selected set vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..core import CapacitatedGraph, CapExceededError, GraphFormatError, _content_lines, _ints
 from ..oracle import ChoiceGroups
@@ -26,9 +27,14 @@ class SmcInstance:
 
     def __post_init__(self):
         for s in self.sets:
-            for x in s:
-                if not 1 <= x <= self.universe_size:
-                    raise GraphFormatError(f"element {x} outside universe")
+            if fault := _set_fault(s, self.universe_size):
+                raise GraphFormatError(fault)
+
+
+def _set_fault(elements: Iterable[int], universe_size: int) -> str | None:
+    """Which element lies outside 1..universe_size, or None."""
+    x = next((x for x in elements if not 1 <= x <= universe_size), None)
+    return None if x is None else f"element {x} outside universe"
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,8 @@ def parse_smc(text: str) -> SmcInstance:
             j, *elems = _ints(parts[1:], lineno, "set field")
             if j in sets:
                 raise GraphFormatError(f"line {lineno}: duplicate set {j}")
+            if fault := _set_fault(elems, header[0]):
+                raise GraphFormatError(f"line {lineno}: {fault}")
             sets[j] = frozenset(elems)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")

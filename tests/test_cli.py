@@ -17,7 +17,7 @@ import cvckit.reductions.mcc as mcc
 import cvckit.reductions.sat as sat
 import cvckit.reductions.smc as smc
 from cvckit.cli import main
-from cvckit.core import CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
+from cvckit.core import CapacitatedGraph, CapExceededError, Orientation, format_instance, parse_instance, parse_orientation, verify_orientation
 from cvckit.cutwidth import LinearArrangement, format_arrangement
 from cvckit.fes import feedback_edge_set
 from cvckit.generators import layered_with_ctw
@@ -681,6 +681,16 @@ def test_bench_table_doubling(tmp_path, capsys):
     assert rows[0]["max_table"] == 256 and rows[1]["max_table"] == 512
 
 
+def test_bench_pins_work_and_tables_at_ctw_16_to_18(tmp_path, capsys):
+    """The work counts and widest tables of the cut DP on the three bench
+    graphs: a rewrite of the transition must leave both as they are."""
+    report = tmp_path / "bench.json"
+    assert main(["bench", "--ctw-min", "16", "--ctw-max", "18", "--n", "40", "--json", str(report)]) == 0
+    rows = json.loads(report.read_text())["rows"]
+    assert [row["work"] for row in rows] == [1_130_909, 2_290_903, 4_887_967]
+    assert [row["max_table"] for row in rows] == [65_536, 131_072, 262_144]
+
+
 def test_reduce_bare_class_line(tmp_path, capsys):
     src = put(tmp_path, "g.mcc", "mcc 1 1\nclass\n")
     assert_config_error(["reduce", "--type", "mcc-td", "--input", src,
@@ -691,6 +701,20 @@ def test_reduce_smc_negative_header(tmp_path, capsys):
     src = put(tmp_path, "s.smc", "smc 0 0 0 -1\n")
     assert_config_error(["reduce", "--type", "smc", "--input", src,
                          "--output", str(tmp_path / "s")], capsys)
+
+
+@pytest.mark.parametrize("kind, name, text", [
+    ("sat-cw", "f.cnf", "p cnf 3 1\n1 2 9 0\n"),
+    ("sat-cw", "f.cnf", "p cnf 3 1\n1 1 2 0\n"),
+    ("sat-natural", "f.cnf", "p cnf 3 1\n1 0 2 0\n"),
+    ("smc", "s.smc", "smc 2 1 0 0\nset 1 5\n"),
+])
+def test_reduce_record_content_error_names_its_line(tmp_path, capsys, kind, name, text):
+    src = put(tmp_path, name, text)
+    assert main(["reduce", "--type", kind, "--input", src, "--output", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
 
 
 @pytest.mark.parametrize("kind", ["sat-cw", "sat-natural"])
@@ -741,6 +765,27 @@ def test_cutdp_refuses_wide_arrangement_before_first_layer(tmp_path, capsys, mon
     inp = put(tmp_path, "w.cvc", format_instance(g))
     arr_path = put(tmp_path, "w.arr", format_arrangement(arr))
     assert_config_error(["solve", "--input", inp, "--algo", "cutdp", "--arrangement", arr_path], capsys)
+
+
+def test_auto_refuses_a_wide_fan_before_any_arrangement_search(tmp_path, capsys, monkeypatch):
+    """An apex joined to every vertex of a 42-vertex path: 41 feedback
+    edges, 43 vertices and degree 42, so every arrangement has cutwidth at
+    least 21 and each route refuses without searching for one."""
+    path = [(v, v + 1) for v in range(2, 43)]
+    g = CapacitatedGraph.build(43, [(1, v) for v in range(2, 44)] + path, {v: 1 for v in range(1, 44)})
+    assert len(feedback_edge_set(g)) == 41 and max(g.degree) == 42
+
+    def never(*args):
+        raise AssertionError("arrangement searched although the degree floor is above the cap")
+
+    monkeypatch.setattr(cli, "find_arrangement", never)
+    inp = put(tmp_path, "fan.cvc", format_instance(g))
+    assert main(["solve", "--input", inp, "--algo", "auto"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: instance exceeds every automatic solver cap\n"
+    assert captured.out == ""
+    with pytest.raises(CapExceededError, match="degree 42 forces cutwidth 21, above cap 20"):
+        cutwidth.check_degree_floor(g)
 
 
 def test_cli_keeps_no_solver_cap_of_its_own():

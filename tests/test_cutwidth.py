@@ -8,6 +8,7 @@ import pytest
 from cvckit.core import CapacitatedGraph, CapExceededError, StructuralError, verify_orientation
 from cvckit.cutwidth import (
     DpLayer,
+    _BLOCK,
     LinearArrangement,
     _scatter_table,
     base_layer,
@@ -439,6 +440,51 @@ def test_wide_cut_layers_match_reference():
                 widest.append(layer)
             prev = layer
         assert widest and all(0 < sum(x >= 0 for x in layer.values) < layer.table_size for layer in widest)
+
+
+def _layer_shapes_match_reference(g, arr):
+    """Run both transitions along ``arr`` and compare every layer; return
+    each layer's (kept, left, new, capacity) counts: nc, nl, nr, cap(v)."""
+    prev = base_layer()
+    shapes = []
+    for i in range(1, g.n + 1):
+        layer = process_layer(prev, g, arr, i)
+        ref = reference_process_layer(prev, g, arr, i)
+        assert layer.edges == ref.edges
+        assert layer.values == ref.values and layer.preds == ref.preds
+        v = arr.order[i - 1]
+        nl = sum(right == v for _, right in prev.edges)
+        nr = sum(left == v for left, _ in layer.edges)
+        assert layer.work == ref.work - (1 << nr)
+        shapes.append((len(prev.edges) - nl, nl, nr, g.capacity[v]))
+        prev = layer
+    return shapes
+
+
+# Hand-built graphs, vertex ids in arrangement order, one per row path of the
+# transition: each names the layer shape that takes the path.
+FAN_IN = [(1, 3), (2, 3), (3, 4)]  # vertex 3: two edges from the left, one to the right
+BLOCKS = [(a, 17) for a in range(1, 14)] + [(14, 16), (15, 16), (16, 17)]  # vertex 16: 13 kept, 2 left
+
+
+@pytest.mark.parametrize("n, edges, caps, shape", [
+    # nl = 0 under a kept edge: every row is bucket 0, shifted once b >= 1
+    (3, [(1, 3), (2, 3)], {1: 1, 2: 1, 3: 2}, lambda nc, nl, nr, cap: nl == 0 < nc and nr == 1),
+    # cap(v) = b = 0: the b = 0 row has tmax = 0 and is bucket 0 as it stands
+    (4, FAN_IN, {1: 1, 2: 1, 3: 0, 4: 1}, lambda nc, nl, nr, cap: nl == 2 and cap == 0),
+    # cap(v) = b = 1: the b = 1 row has tmax = 0, the b = 0 row tmax = 1
+    (4, FAN_IN, {1: 0, 2: 1, 3: 1, 4: 1}, lambda nc, nl, nr, cap: nl == 2 and nr == cap == 1),
+    # nl = 3 under a kept edge, cap 3: rows read prefix minima over buckets 1..3, 1..2 and 1
+    (6, [(1, 4), (1, 5), (2, 4), (3, 4), (4, 5), (4, 6)], {1: 2, 2: 1, 3: 0, 4: 3, 5: 2, 6: 1},
+     lambda nc, nl, nr, cap: nl == 3 and nc == 1 and nr == 2 and cap == 3),
+    # 2^13 kept patterns, two blocks of the transition, with nl = 2
+    (17, BLOCKS, {**{a: a % 2 for a in range(1, 14)}, 14: 0, 15: 1, 16: 2, 17: 8},
+     lambda nc, nl, nr, cap: nc == 13 and nl == 2 and (1 << nc) > _BLOCK),
+], ids=["nl-0", "tmax-0-b-0", "tmax-0-b-1", "nl-3", "two-blocks"])
+def test_each_row_path_matches_reference(n, edges, caps, shape):
+    g = graph(n, edges, caps)
+    shapes = _layer_shapes_match_reference(g, LinearArrangement(tuple(range(1, n + 1))))
+    assert any(shape(*s) for s in shapes)
 
 
 def test_heuristic_arrangement_is_a_local_optimum():

@@ -65,6 +65,10 @@ def test_parsers_raise_only_format_or_structure_errors(text):
         (parse_smc, "smc 0 0 0 -1\n", "line 1: negative header field"),
         (parse_smc, "smc 1 1 0 0\nset\n", "line 2: expected 'set <j> <elements...>'"),
         (parse_dimacs, "p cnf -5 0\n", "line 1: negative header field"),
+        (parse_dimacs, "p cnf 3 1\n1 2 9 0\n", "line 2: clause variable out of range"),
+        (parse_dimacs, "p cnf 3 1\n1 1 2 0\n", "line 2: clauses need three distinct variables"),
+        (parse_dimacs, "p cnf 3 1\n1 0 2 0\n", "line 2: literal 0 before the clause end"),
+        (parse_smc, "smc 2 1 0 0\nset 1 5\n", "line 2: element 5 outside universe"),
     ],
 )
 def test_record_errors_name_their_cause(parse, text, message):
