@@ -1,7 +1,8 @@
 """Command-line frontend: solve, reduce, verify, gen, bench.
 
 Exit codes on every path: 0 success/yes, 1 no or verification failure,
-2 parse/config/structural error.
+2 parse/config/structural error or refusal.  The handlers raise for the
+last kind, and ``main`` alone prints the message and returns 2.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ def _solve(args) -> int:
             except CapExceededError:
                 continue
         else:
-            print("error: instance exceeds every automatic solver cap", file=sys.stderr)
-            return 2
+            raise CapExceededError("instance exceeds every automatic solver cap")
     elif algo in MINIMIZERS:
         minsize, cert = MINIMIZERS[algo](g, args)
     elif algo == "vi":
@@ -123,13 +123,11 @@ def _solve(args) -> int:
             decision, cert = solve_vi(g, k, modulator=modulator, stats=stats)
     elif algo == "pruned":
         if k is None:
-            print("error: --algo pruned needs --k", file=sys.stderr)
-            return 2
+            raise ValueError("--algo pruned needs --k")
         decision, cert = solve_pruned(g, k)
     else:  # "canonical": argparse admits no other --algo
         if k is None or not args.meta:
-            print("error: --algo canonical needs --k and --meta", file=sys.stderr)
-            return 2
+            raise ValueError("--algo canonical needs --k and --meta")
         meta = parse_choice_groups(_read(args.meta))
         decision, cert = solve_canonical(g, meta, k)
 
@@ -138,8 +136,7 @@ def _solve(args) -> int:
 
     if args.cert_out and cert is not None:
         if not _certificate_holds(g, cert, minsize, k):
-            print("error: certificate failed verification", file=sys.stderr)
-            return 2
+            raise StructuralError("certificate failed verification")
         _write(args.cert_out, format_orientation(cert))
 
     payload = {"command": "solve", "algo": algo, "input": args.input, "k": k}
@@ -207,8 +204,7 @@ _VERIFY_NEEDS = {
 def _verify(args) -> int:
     missing = [f"--{name}" for name in _VERIFY_NEEDS[args.type] if getattr(args, name) is None]
     if missing:
-        print(f"error: --type {args.type} needs {' and '.join(missing)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--type {args.type} needs {' and '.join(missing)}")
     if args.type == "family":
         family = parse_family(_read(args.family))
         if is_detecting(args.universe, family, args.d):

@@ -124,9 +124,7 @@ def _vertex_values(room: int, loaded: bool, kids: list[int], f) -> tuple[tuple, 
                 return _DEAD
             forced.append(c)
             base += up
-        elif up == INF:
-            base += down  # flipping is impossible, keep the edge downward
-        else:
+        else:  # pin 1 has one unit less room than pin 0, so up is finite here too
             base += down
             flippable.append((up - down, c))
     flippable.sort()
@@ -156,14 +154,13 @@ def forest_dp(fi: ForestInstance) -> tuple[int | float, Orientation | None]:
     Trees are rooted at the smallest id per component and evaluated leaf to
     root.  At each vertex the state is whether the parent edge points in;
     ``_vertex_values`` picks the inward child edges by the sorted-prefix rule.
+    A preload above a capacity needs no check of its own: it leaves that
+    vertex no room on either pin, so its root's total is infinite.
     """
     g = fi.graph
     n = g.n
     preload = fi.preload()
     cap = g.capacity
-    if any(preload[v] > cap[v] for v in range(1, n + 1)):
-        return INF, None
-
     roots, _, children, order = _root_forest(n, fi.forest_edges)
     # f[v] = (cost with parent arc outward, cost with parent arc inward)
     f: list[tuple[int | float, int | float]] = [(0, 0)] * (n + 1)

@@ -238,7 +238,9 @@ def solve_canonical(
 
     Subtrees of the group-choice search are pruned through the superset
     relaxation: feasibility is monotone in the selected set, so if even
-    "everything still open" fails, no completion can succeed.
+    "everything still open" fails, no completion can succeed.  Refuses
+    (``CapExceededError``) before any assignment call when the free
+    subsets one leaf checks, times m + 1, exceed ``DEFAULT_PRUNED_CAP``.
     """
     meta.validate(g.n)
     g = normalize_capacities(g)
@@ -281,6 +283,9 @@ def solve_canonical(
     # feasibility is monotone in the selection, so only maximal
     # affordable free subsets need checking
     take = min(budget_left, len(free_optional))
+    subsets = math.comb(len(free_optional), take)
+    if subsets * (len(g.edges) + 1) > DEFAULT_PRUNED_CAP:
+        raise CapExceededError(f"canonical search above {DEFAULT_PRUNED_CAP}: {subsets} free subsets of size {take}")
 
     # Depth-first over one member per group, first member first, with an
     # explicit stack so that the depth is not bounded by the group count.

@@ -7,6 +7,7 @@ target instance, vertex ids and edge set both exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from ..core import CapacitatedGraph, GraphFormatError, StructuralError, _content_lines, _ints
 
@@ -19,9 +20,6 @@ Op = tuple  # ("intro", vertex, label) | ("join", a, b) | ("relabel", a, b)
 class CliquewidthExpression:
     ops: tuple[Op, ...]
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 def _check_label(label: int) -> int:
     if not 1 <= label <= MAX_LABELS:
@@ -29,8 +27,16 @@ def _check_label(label: int) -> int:
     return label
 
 
-def replay(expr: CliquewidthExpression) -> tuple[set[int], set[tuple[int, int]]]:
-    """Execute the script; returns (vertices, edges) of the built graph."""
+def replay(
+    expr: CliquewidthExpression, max_edges: int | float = math.inf
+) -> tuple[set[int], set[tuple[int, int]] | None]:
+    """Execute the script; returns (vertices, edges) of the built graph.
+
+    Once the graph would have more than ``max_edges`` edges no more are
+    built and ``edges`` comes back None; the rest of the script is still
+    checked.  Labels partition the vertices, so the pairs of one join are
+    distinct, and a join over more pairs than that is not built at all.
+    """
     by_label: dict[int, set[int]] = {lab: set() for lab in range(1, MAX_LABELS + 1)}
     vertices: set[int] = set()
     edges: set[tuple[int, int]] = set()
@@ -49,9 +55,14 @@ def replay(expr: CliquewidthExpression) -> tuple[set[int], set[tuple[int, int]]]
             _check_label(b)
             if a == b:
                 raise StructuralError("join needs two distinct labels")
-            for u in by_label[a]:
-                for v in by_label[b]:
-                    edges.add((u, v) if u < v else (v, u))
+            if edges is not None and len(by_label[a]) * len(by_label[b]) > max_edges:
+                edges = None
+            if edges is not None:
+                for u in by_label[a]:
+                    for v in by_label[b]:
+                        edges.add((u, v) if u < v else (v, u))
+                if len(edges) > max_edges:
+                    edges = None
         elif kind == "relabel":
             _, a, b = op
             _check_label(a)
@@ -66,8 +77,8 @@ def replay(expr: CliquewidthExpression) -> tuple[set[int], set[tuple[int, int]]]
 
 def verify_cw_expression(expr: CliquewidthExpression, g: CapacitatedGraph) -> bool:
     """True iff the script rebuilds exactly the instance graph."""
-    vertices, edges = replay(expr)
-    return vertices == set(g.vertices()) and edges == set(g.edges)
+    vertices, edges = replay(expr, len(g.edges))
+    return edges is not None and vertices == set(g.vertices()) and edges == set(g.edges)
 
 
 def parse_expression(text: str) -> CliquewidthExpression:

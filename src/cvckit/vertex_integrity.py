@@ -21,7 +21,9 @@ so only orientations that fit are reached.  Where no capacity binds that
 is all 2^(free edges) of them, so a component (or the modulator itself)
 with more than ``MAX_FREE_EDGES`` free edges is refused with
 ``CapExceededError``: a weak modulator given from outside is refused at
-once instead of walked.
+once instead of walked.  The guesses range over the subsets of the
+modulator, so a given one above ``DEFAULT_MODULATOR_CAP`` vertices, the
+most ``compute_modulator`` ever returns, is refused as well.
 """
 
 from __future__ import annotations
@@ -475,6 +477,8 @@ def _vi_engine(
         outside = [u for u in mod if not 1 <= u <= g.n]
         if outside:
             raise StructuralError(f"modulator vertex {outside[0]} is not in 1..{g.n}")
+        if len(mod) > DEFAULT_MODULATOR_CAP:  # the guesses walk every subset of it
+            raise CapExceededError(f"given modulator capped at {DEFAULT_MODULATOR_CAP} vertices, got {len(mod)}")
     comps = components_outside(g, mod)
     if stats is not None:
         stats["modulator"] = mod

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -886,3 +887,92 @@ def test_reduce_mcc_td_refuses_a_large_output_before_building_it(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"error: mcc-td output would have {vertices} vertices, cap is 1000000\n"
     assert not (tmp_path / "r.cvc").exists()
+
+
+NO_ROOM = "cvc 2 1\nv 1 0\nv 2 0\ne 1 2\n"  # neither endpoint can take the edge
+
+
+@pytest.mark.parametrize("algo", ["oracle", "fes", "cutdp", "auto", "vi"])
+def test_solve_reports_infeasible(tmp_path, capsys, algo):
+    inp = put(tmp_path, "g.cvc", NO_ROOM)
+    report = tmp_path / "r.json"
+    cert = tmp_path / "g.cert"
+    assert main(["solve", "--input", inp, "--algo", algo, "--json", str(report), "--cert-out", str(cert)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "INFEASIBLE\n" and captured.err == ""
+    assert json.loads(report.read_text())["minsize"] is None
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "{k21}", "--algo", "auto", "--cert-out", "{cert}"], "instance exceeds every automatic solver cap"),
+    (["solve", "--input", "{k2}", "--algo", "pruned", "--cert-out", "{cert}"], "--algo pruned needs --k"),
+    (["solve", "--input", "{k2}", "--algo", "canonical", "--k", "1", "--cert-out", "{cert}"],
+     "--algo canonical needs --k and --meta"),
+    (["solve", "--input", "{k2}", "--algo", "oracle", "--cert-out", "{cert}"], "certificate failed verification"),
+    (["verify", "--type", "orientation", "--input", "{k2}"], "--type orientation needs --cert"),
+])
+def test_cli_errors_exit_through_main(tmp_path, capsys, monkeypatch, argv, message):
+    if message == "certificate failed verification":
+        monkeypatch.setattr(cli, "solve_exact", lambda g: (0, Orientation({(1, 2): 1})))  # claims size 0
+    cert = tmp_path / "out.cert"
+    files = {"k21": put(tmp_path, "k21.cvc", complete(21, 10)), "k2": put(tmp_path, "k2.cvc", K2), "cert": cert}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not cert.exists()
+
+
+def test_verify_expression_stops_once_the_joins_pass_the_edge_count(tmp_path, capsys):
+    """1,500 vertices at label 1, 1,500 at label 2 and one join: 2.25 M pairs
+    against an instance with one edge."""
+    expr = "".join(f"intro {v} {1 + (v > 1500)}\n" for v in range(1, 3001)) + "join 1 2\n"
+    argv = [
+        "verify", "--type", "expression",
+        "--input", put(tmp_path, "g.cvc", "cvc 3000 1\n" + "".join(f"v {v} 1\n" for v in range(1, 3001)) + "e 1 2\n"),
+        "--expr", put(tmp_path, "g.cwx", expr),
+    ]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().out == "INVALID expression\n"
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def matching(n):
+    """A perfect matching on n vertices, capacities 1, as instance text."""
+    return f"cvc {n} {n // 2}\n" + "".join(f"v {v} 1\n" for v in range(1, n + 1)) + "".join(
+        f"e {v} {v + 1}\n" for v in range(1, n + 1, 2)
+    )
+
+
+@pytest.mark.parametrize("n, code, out, err", [
+    (24, 2, "", "error: canonical search above 4000000: 2496144 free subsets of size 11\n"),
+    (16, 1, "FEASIBLE no\n", ""),
+])
+def test_canonical_refuses_a_large_free_pool_before_searching(tmp_path, capsys, n, code, out, err):
+    inp = put(tmp_path, "m.cvc", matching(n))
+    meta = put(tmp_path, "m.meta", "free " + " ".join(map(str, range(1, n + 1))) + "\n")
+    start = time.perf_counter()
+    assert main(["solve", "--input", inp, "--algo", "canonical", "--meta", meta, "--k", str(n // 2 - 1)]) == code
+    assert code != 2 or time.perf_counter() - start < 0.1  # a refusal comes before any search
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("n, code, out, err", [
+    (24, 2, "", "error: given modulator capped at 18 vertices, got 24\n"),
+    (16, 0, "MINSIZE 8\n", ""),
+])
+def test_vi_refuses_a_given_modulator_above_the_cap(tmp_path, capsys, n, code, out, err):
+    inp = put(tmp_path, "m.cvc", matching(n))
+    mod = put(tmp_path, "m.mod", "modulator " + " ".join(map(str, range(1, n + 1))) + "\n")
+    start = time.perf_counter()
+    assert main(["solve", "--input", inp, "--algo", "vi", "--modulator", mod]) == code
+    assert code != 2 or time.perf_counter() - start < 0.1  # a refusal comes before any search
+    assert capsys.readouterr() == (out, err)

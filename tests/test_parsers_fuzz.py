@@ -69,6 +69,15 @@ def test_parsers_raise_only_format_or_structure_errors(text):
         (parse_dimacs, "p cnf 3 1\n1 1 2 0\n", "line 2: clauses need three distinct variables"),
         (parse_dimacs, "p cnf 3 1\n1 0 2 0\n", "line 2: literal 0 before the clause end"),
         (parse_smc, "smc 2 1 0 0\nset 1 5\n", "line 2: element 5 outside universe"),
+        (parse_instance, "cvc -1 0\n", "line 1: negative header field"),
+        (parse_instance, "cvc 1 0\nv 1\n", "line 2: expected 'v <id> <capacity>'"),
+        (parse_instance, "cvc 1 0\nv 1 -1\n", "line 2: negative capacity"),
+        (parse_mcc, "mcc 1 2\nclass 1 1\n", "class 1 must list exactly 2 ids"),
+        (parse_mcc, "mcc 2 1\nclass 1 1\nclass 2 1\n", "vertex id 1 in two classes"),
+        (parse_mcc, "mcc 1 1\nclass 1 1\ne 1 9\n", r"edge \(1,9\) references unknown id"),
+        (parse_dimacs, "p cnf 3 1\n1 2 0\n", "line 2: expected exactly 3 literals"),
+        (parse_dimacs, "p cnf 3 2\n1 2 3 0\n", "declared 2 clauses, found 1"),
+        (parse_smc, "smc 1 2 0 0\nset 1 1\nset 1 1\n", "line 3: duplicate set 1"),
     ],
 )
 def test_record_errors_name_their_cause(parse, text, message):

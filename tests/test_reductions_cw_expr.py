@@ -68,3 +68,14 @@ def test_expression_file_roundtrip():
         (("intro", 5, 3), ("join", 3, 1), ("relabel", 3, 6))
     )
     assert parse_expression(format_expression(expr)) == expr
+
+
+def test_replay_stops_building_past_its_edge_cap():
+    path = CliquewidthExpression((("intro", 1, 1), ("intro", 2, 2), ("join", 1, 2), ("intro", 3, 3), ("join", 2, 3)))
+    assert replay(path, 2) == ({1, 2, 3}, {(1, 2), (2, 3)})
+    assert replay(path, 1) == ({1, 2, 3}, None)  # the second join passes the cap
+    star = CliquewidthExpression((("intro", 1, 1), ("intro", 2, 2), ("intro", 3, 2), ("join", 1, 2)))
+    assert replay(star, 1) == ({1, 2, 3}, None)  # 2 pairs > 1, refused before building
+    broken = CliquewidthExpression((*star.ops, ("intro", 1, 1)))
+    with pytest.raises(StructuralError, match="introduced twice"):
+        replay(broken, 1)  # past the cap the rest of the script is still checked
